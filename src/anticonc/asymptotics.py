@@ -13,15 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dist import RationalLike, as_fraction
-from .errors import ParamOutOfRange
+from .errors import ParamOutOfRange, _require_at_least, _require_p
 from .families import alternating_bernoulli, quasi_uniform_variance
-
-
-def _check_p(p: RationalLike) -> Fraction:
-    q = as_fraction(p)
-    if not 0 < q <= Fraction(1, 2):
-        raise ParamOutOfRange(f"success mass must lie in (0, 1/2], got {q}")
-    return q
 
 
 def local_limit_bound(n: int, alpha: RationalLike) -> float:
@@ -30,36 +23,31 @@ def local_limit_bound(n: int, alpha: RationalLike) -> float:
     This is the leading coefficient of the concentration maximum for n
     summands capped at level alpha; it scales like n^(-1/2).
     """
-    if n < 1:
-        raise ParamOutOfRange(f"need n >= 1, got {n}")
+    _require_at_least("n", n, 1)
     v = quasi_uniform_variance(alpha)
     return 1.0 / math.sqrt(2.0 * math.pi * n * float(v))
 
 
 def small_dev_ratio_exact(n: int, p: RationalLike, k: int) -> Fraction:
     """P(D = k) / P(D = 0) for D the alternating sum of 2n Bernoulli(p)."""
-    if n < 1:
-        raise ParamOutOfRange(f"need n >= 1, got {n}")
-    if k < 0:
-        raise ParamOutOfRange(f"need k >= 0, got {k}")
-    q = _check_p(p)
+    _require_at_least("n", n, 1)
+    _require_at_least("k", k, 0)
+    q = _require_p(as_fraction(p))
     d = alternating_bernoulli(2 * n, q)
     return d.atom(k) / d.atom(0)
 
 
 def small_dev_ratio_approx(n: int, p: RationalLike, k: int) -> float:
     """Second-order ratio 1 - k^2 / (4 p (1 - p) n)."""
-    if n < 1:
-        raise ParamOutOfRange(f"need n >= 1, got {n}")
-    if k < 0:
-        raise ParamOutOfRange(f"need k >= 0, got {k}")
-    q = _check_p(p)
+    _require_at_least("n", n, 1)
+    _require_at_least("k", k, 0)
+    q = _require_p(as_fraction(p))
     return float(1 - Fraction(k * k) / (4 * q * (1 - q) * n))
 
 
 def alternating_zero_exact(n: int, p: RationalLike) -> Fraction:
     """P(D = 0) for D the alternating sum of n Bernoulli(p)."""
-    return alternating_bernoulli(n, _check_p(p)).atom(0)
+    return alternating_bernoulli(n, _require_p(as_fraction(p))).atom(0)
 
 
 def alternating_zero_asym(n: int, p: RationalLike) -> float:
@@ -69,9 +57,8 @@ def alternating_zero_asym(n: int, p: RationalLike) -> float:
     relative correction is (1 / (2 p (1 - p)) - 3) / (4 n) for even n and
     (2 p^2 - 6 p + 1) / (8 n p (1 - p)) for odd n.
     """
-    if n < 1:
-        raise ParamOutOfRange(f"need n >= 1, got {n}")
-    q = _check_p(p)
+    _require_at_least("n", n, 1)
+    q = _require_p(as_fraction(p))
     pq = q * (1 - q)
     if n % 2 == 0:
         correction = 1 + Fraction(1, 4 * n) * (1 / (2 * pq) - 3)
@@ -82,8 +69,7 @@ def alternating_zero_asym(n: int, p: RationalLike) -> float:
 
 def middle_coeff_exact(n: int, b: RationalLike, c: RationalLike) -> Fraction:
     """Central coefficient of (x^2 + b x + c)^n by exact polynomial powering."""
-    if n < 1:
-        raise ParamOutOfRange(f"need n >= 1, got {n}")
+    _require_at_least("n", n, 1)
     bf, cf = as_fraction(b), as_fraction(c)
     if bf <= 0 or cf <= 0:
         raise ParamOutOfRange("coefficients must be positive")
@@ -106,14 +92,19 @@ def middle_coeff_asym(n: int, b: RationalLike, c: RationalLike) -> float:
     (b + 2 sqrt(c))^(n + 1/2) / (2 c^(1/4) sqrt(pi n))
         * (1 + (b - 4 sqrt(c)) / (16 n sqrt(c)))
     """
-    if n < 1:
-        raise ParamOutOfRange(f"need n >= 1, got {n}")
+    _require_at_least("n", n, 1)
     bf, cf = float(as_fraction(b)), float(as_fraction(c))
     if bf <= 0 or cf <= 0:
         raise ParamOutOfRange("coefficients must be positive")
     root = math.sqrt(cf)
-    lead = (bf + 2.0 * root) ** (n + 0.5) / (2.0 * cf**0.25 * math.sqrt(math.pi * n))
-    return lead * (1.0 + (bf - 4.0 * root) / (16.0 * n * root))
+    try:
+        lead = (bf + 2.0 * root) ** (n + 0.5) / (2.0 * cf**0.25 * math.sqrt(math.pi * n))
+    except OverflowError:  # float ** raises where * and / give inf
+        lead = math.inf
+    value = lead * (1.0 + (bf - 4.0 * root) / (16.0 * n * root))
+    if value == math.inf:
+        raise ParamOutOfRange(f"the expansion at n = {n} exceeds the float range")
+    return value
 
 
 @dataclass(frozen=True)
@@ -133,9 +124,8 @@ class OddTailRatios:
 
 
 def odd_tail_ratios(m: int, p: RationalLike) -> OddTailRatios:
-    if m < 2:
-        raise ParamOutOfRange(f"need m >= 2, got {m}")
-    q = _check_p(p)
+    _require_at_least("m", m, 2)
+    q = _require_p(as_fraction(p))
     n_eff = 2 * (m - 1)
     x = alternating_bernoulli(n_eff, q)
     x_zero = x.atom(0)

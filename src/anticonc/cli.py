@@ -23,10 +23,10 @@ import sys
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import asymptotics, sampling, search
-from .dist import Dist, convolve_all, format_fraction
+from .dist import Dist, as_fraction, convolve_all, format_fraction
 from .errors import AssertionFailed
 from .families import alternating_bernoulli, binomial, quasi_uniform
 from .reduction import Extremal, balancing_bound, extreme_decompose
@@ -47,22 +47,11 @@ class _Parser(argparse.ArgumentParser):
 # -- input parsing ----------------------------------------------------------
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"not a rational: {text!r}") from exc
-
-
 def _parse_point(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(c) for c in text.split(","))
     except ValueError as exc:
         raise UsageError(f"not a lattice point: {text!r}") from exc
-
-
-def _parse_fraction_list(text: str) -> list[Fraction]:
-    return [_parse_fraction(part) for part in text.split(",")]
 
 
 def _load_json(path: str):
@@ -74,13 +63,13 @@ def _load_json(path: str):
 
 def _load_dists(path: str) -> list[Dist]:
     obj = _load_json(path)
-    if isinstance(obj, dict):
-        obj = [obj]
-    return [Dist.from_json_obj(entry) for entry in obj]
+    return [Dist.from_json_obj(entry) for entry in (obj if isinstance(obj, list) else [obj])]
 
 
 def _load_seqs(path: str) -> list[CenteredSeq]:
     obj = _load_json(path)
+    if not (isinstance(obj, list) and all(isinstance(row, list) for row in obj)):
+        raise ValueError(f"{path}: expected a JSON array of sequences, each an array of rationals")
     return [CenteredSeq.from_values(row) for row in obj]
 
 
@@ -138,207 +127,199 @@ def _dump_witness(args, failure: AssertionFailed) -> str:
 # -- dist / family / rearrange ----------------------------------------------
 
 
-def _cmd_dist_conv(args) -> int:
+def _cmd_dist_conv(args) -> None:
     dists = _load_dists(args.infile)
     _emit_json(args, convolve_all(dists).to_json_obj())
-    return 0
 
 
-def _cmd_dist_atom(args) -> int:
+def _cmd_dist_atom(args) -> None:
     (dist,) = _load_dists(args.infile)
     x = _parse_point(args.x)
     _emit_json(args, {"x": list(x), "mass": dist.atom(x)})
-    return 0
 
 
-def _cmd_dist_q(args) -> int:
+def _cmd_dist_q(args) -> None:
     (dist,) = _load_dists(args.infile)
     value, argmax = dist.concentration()
     _emit_json(args, {"value": value, "argmax": list(argmax)})
-    return 0
 
 
-def _cmd_family_ualpha(args) -> int:
-    _emit_json(args, quasi_uniform(_parse_fraction(args.alpha)))
-    return 0
+def _cmd_family_ualpha(args) -> None:
+    _emit_json(args, quasi_uniform(args.alpha))
 
 
-def _cmd_family_binom(args) -> int:
-    _emit_json(args, binomial(args.n, _parse_fraction(args.p)))
-    return 0
+def _cmd_family_binom(args) -> None:
+    _emit_json(args, binomial(args.n, args.p))
 
 
-def _cmd_family_tn(args) -> int:
-    _emit_json(args, alternating_bernoulli(args.n, _parse_fraction(args.p)))
-    return 0
+def _cmd_family_tn(args) -> None:
+    _emit_json(args, alternating_bernoulli(args.n, args.p))
 
 
-def _cmd_rearrange(args) -> int:
+def _cmd_rearrange(args) -> None:
     if args.values is not None:
-        seq = CenteredSeq.from_values(_parse_fraction_list(args.values))
+        seq = CenteredSeq.from_values(args.values.split(","))
     elif args.infile is not None:
         (seq,) = _load_seqs(args.infile)
     else:
         raise UsageError("give --values or --in")
     op = {"left": rearrange_left, "right": rearrange_right, "sym": rearrange_symmetric}[args.mode]
     _emit_json(args, op(seq))
-    return 0
 
 
 # -- check ------------------------------------------------------------------
+#
+# One entry per checked inequality.  draw(args, rng) builds a seeded instance
+# as a dict of the checker's inputs, trial(instance) runs the library checker,
+# which raises AssertionFailed on a violated bound, and fixed(args) loads --in
+# and the check's flags and returns the report fields.  Entries look checkers
+# and samplers up by module-global name at call time, so patched names apply.
 
 
-def _check_report(args, report: dict) -> int:
-    _emit_json(args, report)
-    return 0
+class _Check(NamedTuple):
+    help: str
+    flags: tuple[tuple[str, dict], ...]
+    draw: Callable[[argparse.Namespace, random.Random], dict]
+    trial: Callable[[dict], object]
+    fixed: Callable[[argparse.Namespace], dict]
 
 
-def _gabriel_instance(rng: random.Random) -> list[CenteredSeq]:
+def _argmax(dists: list[Dist]) -> tuple[int, ...]:
+    return convolve_all(dists).concentration()[1]
+
+
+def _sides(lhs_rhs: tuple[Fraction, Fraction]) -> dict:
+    return dict(zip(("lhs", "rhs"), lhs_rhs))
+
+
+def _draw_gabriel(args, rng: random.Random) -> dict:
     count = rng.randint(2, 4)
     seqs = [sampling.random_centered_seq(rng), sampling.random_centered_seq(rng)]
     seqs += [sampling.random_symmetrizable_seq(rng) for _ in range(count - 2)]
-    return seqs
+    return {"seqs": seqs}
 
 
-def _cmd_check_gabriel(args) -> int:
-    if args.trials:
-        rng = random.Random(args.seed)
-        for trial in range(args.trials):
-            seqs = _gabriel_instance(rng)
-            lhs, rhs = gabriel_sides(seqs)
-            if lhs > rhs:
-                raise AssertionFailed(
-                    "rearranged zero-sum coefficient decreased",
-                    witness={"seed": args.seed, "trial": trial, "seqs": seqs, "lhs": lhs, "rhs": rhs},
-                )
-        return _check_report(args, {"trials": args.trials, "seed": args.seed, "violations": 0, "holds": True})
-    if not args.infile:
-        raise UsageError("give --in or --trials")
-    seqs = _load_seqs(args.infile)
-    lhs, rhs = gabriel_sides(seqs, star_from=args.star_from)
-    if lhs > rhs:
-        raise AssertionFailed(
-            "rearranged zero-sum coefficient decreased",
-            witness={"seqs": seqs, "lhs": lhs, "rhs": rhs},
-        )
-    return _check_report(args, {"lhs": lhs, "rhs": rhs, "holds": True})
+def _draw_birnbaum(args, rng: random.Random) -> dict:
+    mu_x = sampling.random_symmetric_unimodal(rng)
+    mu_y, mu_yp = sampling.random_peaked_pair(rng)
+    return {"X": mu_x, "Y": mu_y, "Yp": mu_yp}
 
 
-def _cmd_check_birnbaum(args) -> int:
-    if args.trials:
-        rng = random.Random(args.seed)
-        for trial in range(args.trials):
-            mu_x = sampling.random_symmetric_unimodal(rng)
-            mu_y, mu_yp = sampling.random_peaked_pair(rng)
-            radius = max(abs(x) for d in (mu_x, mu_y, mu_yp) for (x,), _ in d.atoms)
-            for k in range(2 * radius + 1):
-                lhs, rhs = birnbaum_sides(mu_x, mu_y, mu_yp, k)
-                if lhs > rhs:
-                    raise AssertionFailed(
-                        "peakedness failed to transfer through the convolution",
-                        witness={"seed": args.seed, "trial": trial, "k": k,
-                                 "X": mu_x, "Y": mu_y, "Yp": mu_yp, "lhs": lhs, "rhs": rhs},
-                    )
-        return _check_report(args, {"trials": args.trials, "seed": args.seed, "violations": 0, "holds": True})
-    if not args.infile:
-        raise UsageError("give --in or --trials")
+def _trial_birnbaum(instance: dict) -> None:
+    laws = (instance["X"], instance["Y"], instance["Yp"])
+    radius = max(abs(x) for d in laws for (x,), _ in d.atoms)
+    for k in range(2 * radius + 1):
+        birnbaum_sides(*laws, k)
+
+
+def _fixed_birnbaum(args) -> dict:
     dists = _load_dists(args.infile)
     if len(dists) != 3:
         raise UsageError(f"need exactly 3 distributions (X, Y, Y'), got {len(dists)}")
     if args.k is None:
         raise UsageError("give --k")
-    lhs, rhs = birnbaum_sides(*dists, args.k)
-    if lhs > rhs:
-        raise AssertionFailed(
-            "peakedness failed to transfer through the convolution",
-            witness={"k": args.k, "X": dists[0], "Y": dists[1], "Yp": dists[2], "lhs": lhs, "rhs": rhs},
-        )
-    return _check_report(args, {"lhs": lhs, "rhs": rhs, "holds": True})
+    return _sides(birnbaum_sides(*dists, args.k))
 
 
-def _cmd_check_balancing(args) -> int:
-    if args.trials:
-        rng = random.Random(args.seed)
-        for trial in range(args.trials):
-            n = rng.choice((2, 4, 6))
-            dim = rng.choice((1, 2))
-            dists = [sampling.random_dist(rng, dim=dim) for _ in range(n)]
-            joint = convolve_all(dists)
-            bound = balancing_bound(dists, joint.concentration()[1])
-            for point, mass in joint.atoms:
-                if mass > bound.rhs:
-                    raise AssertionFailed(
-                        "balancing bound failed at a support point",
-                        witness={"seed": args.seed, "trial": trial, "x": list(point),
-                                 "lhs": mass, "rhs": bound.rhs, "dists": dists},
-                    )
-        return _check_report(args, {"trials": args.trials, "seed": args.seed, "violations": 0, "holds": True})
-    if not args.infile:
-        raise UsageError("give --in or --trials")
+def _draw_balancing(args, rng: random.Random) -> dict:
+    n = rng.choice((2, 4, 6))
+    dim = rng.choice((1, 2))
+    return {"dists": [sampling.random_dist(rng, dim=dim) for _ in range(n)]}
+
+
+def _fixed_balancing(args) -> dict:
     if args.x is None:
         raise UsageError("give --x")
-    dists = _load_dists(args.infile)
-    bound = balancing_bound(dists, _parse_point(args.x))
-    return _check_report(args, {
-        "index": bound.index, "lhs": bound.lhs, "rhs": bound.rhs,
-        "strict": bound.strict, "holds": True,
-    })
+    return vars(balancing_bound(_load_dists(args.infile), _parse_point(args.x)))
 
 
-def _cmd_check_theorem2(args) -> int:
-    if args.trials:
-        rng = random.Random(args.seed)
-        for trial in range(args.trials):
-            alpha = _parse_fraction(args.alpha) if args.alpha else rng.choice(THEOREM2_LEVELS)
-            n = rng.choice((2, 4))
-            dists = [sampling.random_capped_dist(rng, alpha) for _ in range(n)]
-            x = convolve_all(dists).concentration()[1]
-            search.quasi_uniform_bound_check(dists, alpha, x)
-        return _check_report(args, {"trials": args.trials, "seed": args.seed, "violations": 0, "holds": True})
-    if not args.infile:
-        raise UsageError("give --in or --trials")
+def _draw_theorem2(args, rng: random.Random) -> dict:
+    alpha = as_fraction(args.alpha) if args.alpha else rng.choice(THEOREM2_LEVELS)
+    n = rng.choice((2, 4))
+    return {"alpha": alpha, "dists": [sampling.random_capped_dist(rng, alpha) for _ in range(n)]}
+
+
+def _fixed_theorem2(args) -> dict:
     if args.alpha is None or args.x is None:
         raise UsageError("give --alpha and --x")
     dists = _load_dists(args.infile)
-    lhs, rhs = search.quasi_uniform_bound_check(dists, _parse_fraction(args.alpha), _parse_point(args.x))
-    return _check_report(args, {"lhs": lhs, "rhs": rhs, "holds": True})
+    return _sides(search.quasi_uniform_bound_check(dists, as_fraction(args.alpha), _parse_point(args.x)))
 
 
-def _cmd_check_monotone(args) -> int:
+def _draw_monotone(args, rng: random.Random) -> dict:
+    dim = rng.choice((1, 2))
+    if rng.random() < 0.5:
+        return {"dists": [sampling.random_dist(rng, dim=dim)] * rng.randint(2, 5)}
+    return {"dists": [sampling.random_dist(rng, dim=dim) for _ in range(rng.randint(2, 5))]}
+
+
+# A balancing or theorem2 trial checks the largest atom only: the bound does not depend on x.
+CHECKS = {
+    "gabriel": _Check(
+        "zero-sum coefficient versus canonical rearrangements",
+        (("--star-from", {"type": int, "default": 2, "help": "first index rearranged symmetrically"}),),
+        _draw_gabriel,
+        lambda instance: gabriel_sides(instance["seqs"]),
+        lambda args: _sides(gabriel_sides(_load_seqs(args.infile), star_from=args.star_from)),
+    ),
+    "birnbaum": _Check(
+        "peakedness transfer through convolution",
+        (("--k", {"type": int, "help": "interval radius (fixed instance)"}),),
+        _draw_birnbaum, _trial_birnbaum, _fixed_birnbaum,
+    ),
+    "balancing": _Check(
+        "hit probability versus best alternating iid replacement",
+        (("--x", {"help": "target point (fixed instance)"}),),
+        _draw_balancing,
+        lambda instance: balancing_bound(instance["dists"], _argmax(instance["dists"])),
+        _fixed_balancing,
+    ),
+    "theorem2": _Check(
+        "hit probability versus alternating quasi-uniform ceiling",
+        (("--alpha", {"help": "concentration level"}), ("--x", {"help": "target point (fixed instance)"})),
+        _draw_theorem2,
+        lambda instance: search.quasi_uniform_bound_check(
+            instance["dists"], instance["alpha"], _argmax(instance["dists"])),
+        _fixed_theorem2,
+    ),
+    "monotone": _Check(
+        "largest atom never increases along prefix sums",
+        (),
+        _draw_monotone,
+        lambda instance: search.monotonicity_check(instance["dists"]),
+        lambda args: {"maxima": list(search.monotonicity_check(_load_dists(args.infile)))},
+    ),
+}
+
+
+def _cmd_check(args) -> None:
+    check = CHECKS[args.subcommand]
     if args.trials:
         rng = random.Random(args.seed)
         for trial in range(args.trials):
-            dim = rng.choice((1, 2))
-            if rng.random() < 0.5:
-                dists = [sampling.random_dist(rng, dim=dim)] * rng.randint(2, 5)
-            else:
-                dists = [sampling.random_dist(rng, dim=dim) for _ in range(rng.randint(2, 5))]
-            search.monotonicity_check(dists)
-        return _check_report(args, {"trials": args.trials, "seed": args.seed, "violations": 0, "holds": True})
-    if not args.infile:
+            instance = check.draw(args, rng)
+            try:
+                check.trial(instance)
+            except AssertionFailed as exc:
+                exc.witness = {"seed": args.seed, "trial": trial, **instance, **exc.witness}
+                raise
+        report = {"trials": args.trials, "seed": args.seed, "violations": 0}
+    elif args.infile:
+        report = check.fixed(args)
+    else:
         raise UsageError("give --in or --trials")
-    maxima = search.monotonicity_check(_load_dists(args.infile))
-    return _check_report(args, {"maxima": list(maxima), "holds": True})
+    _emit_json(args, {**report, "holds": True})
 
 
 # -- decompose ---------------------------------------------------------------
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> None:
     (dist,) = _load_dists(args.infile)
-    alpha = _parse_fraction(args.alpha)
+    alpha = as_fraction(args.alpha)
     result = extreme_decompose(dist, alpha)
-    if isinstance(result, Extremal):
-        payload = {
-            "kind": "extremal",
-            "alpha": alpha,
-            "points": [list(p) for p in result.points],
-            "rest": list(result.rest) if result.rest is not None else None,
-        }
-    else:
-        payload = {"kind": "mixture", "alpha": alpha, "p": result.p, "mu1": result.mu1, "mu2": result.mu2}
-    _emit_json(args, payload)
-    return 0
+    kind = "extremal" if isinstance(result, Extremal) else "mixture"
+    _emit_json(args, {"kind": kind, "alpha": alpha, **vars(result)})
 
 
 # -- asym --------------------------------------------------------------------
@@ -353,8 +334,8 @@ def _asym_row(quantity: str, n: int, param: str, exact: Fraction, approx: float,
     return (quantity, n, param, format_fraction(exact), repr(approx), repr(residual), repr(residual * scale))
 
 
-def _cmd_asym_corollary2(args) -> int:
-    alpha = _parse_fraction(args.alpha)
+def _cmd_asym_corollary2(args) -> None:
+    alpha = as_fraction(args.alpha)
     n = args.n
     bound = asymptotics.local_limit_bound(n, alpha)
     u = quasi_uniform(alpha)
@@ -364,40 +345,36 @@ def _cmd_asym_corollary2(args) -> int:
     row = ("local_limit_bound", n, format_fraction(alpha), format_fraction(exact),
            repr(bound), repr(residual), repr(residual / bound))
     _emit_rows(args, ASYM_HEADER, [row])
-    return 0
 
 
-def _cmd_asym_smalldev(args) -> int:
-    p = _parse_fraction(args.p)
+def _cmd_asym_smalldev(args) -> None:
+    p = as_fraction(args.p)
     exact = asymptotics.small_dev_ratio_exact(args.n, p, args.k)
     approx = asymptotics.small_dev_ratio_approx(args.n, p, args.k)
     row = _asym_row("small_dev_ratio", args.n, f"{format_fraction(p)};k={args.k}", exact, approx, args.n)
     _emit_rows(args, ASYM_HEADER, [row])
-    return 0
 
 
-def _cmd_asym_tnzero(args) -> int:
-    p = _parse_fraction(args.p)
+def _cmd_asym_tnzero(args) -> None:
+    p = as_fraction(args.p)
     exact = asymptotics.alternating_zero_exact(args.n, p)
     approx = asymptotics.alternating_zero_asym(args.n, p)
     scale = args.n**2 if args.n % 2 == 0 else args.n
     row = _asym_row("alternating_zero", args.n, format_fraction(p), exact, approx, scale)
     _emit_rows(args, ASYM_HEADER, [row])
-    return 0
 
 
-def _cmd_asym_wagner(args) -> int:
-    b, c = _parse_fraction(args.b), _parse_fraction(args.c)
+def _cmd_asym_wagner(args) -> None:
+    b, c = as_fraction(args.b), as_fraction(args.c)
+    approx = asymptotics.middle_coeff_asym(args.n, b, c)  # checks the float range before the exact powering
     exact = asymptotics.middle_coeff_exact(args.n, b, c)
-    approx = asymptotics.middle_coeff_asym(args.n, b, c)
     param = f"b={format_fraction(b)};c={format_fraction(c)}"
     row = _asym_row("middle_coefficient", args.n, param, exact, approx, args.n**2, relative=True)
     _emit_rows(args, ASYM_HEADER, [row])
-    return 0
 
 
-def _cmd_asym_largeodd(args) -> int:
-    p = _parse_fraction(args.p)
+def _cmd_asym_largeodd(args) -> None:
+    p = as_fraction(args.p)
     ratios = asymptotics.odd_tail_ratios(args.m, p)
     rows = [
         _asym_row("odd_tail_double_pair", ratios.n_eff, format_fraction(p),
@@ -406,31 +383,25 @@ def _cmd_asym_largeodd(args) -> int:
                   ratios.exact_triple, ratios.approx_triple, ratios.n_eff),
     ]
     _emit_rows(args, ASYM_HEADER, rows)
-    return 0
 
 
 # -- scan --------------------------------------------------------------------
 
 
-def _cmd_scan_kphase(args) -> int:
+def _cmd_scan_kphase(args) -> None:
     grid = search.default_p_grid(args.grid)
     diagram = search.k_phase_scan(args.n, grid)
     if getattr(args, "format", "csv") == "json":
-        _emit_json(args, {
-            "n": diagram.n,
-            "cells": [{"p": c.p, "best_ks": list(c.best_ks), "best_value": c.best_value} for c in diagram.cells],
-            "observed_ks": list(diagram.observed_ks),
-        })
-        return 0
+        _emit_json(args, diagram)
+        return
     rows = [
         (diagram.n, c.p.numerator, c.p.denominator, ";".join(str(k) for k in c.best_ks), format_fraction(c.best_value))
         for c in diagram.cells
     ]
     _emit_rows(args, ("n", "p_num", "p_den", "best_k_set", "best_value"), rows)
-    return 0
 
 
-def _cmd_scan_signs(args) -> int:
+def _cmd_scan_signs(args) -> None:
     (dist,) = _load_dists(args.infile)
     x = _parse_point(args.x) if args.x is not None else None
     value, signs = search.sign_vector_max(dist, args.n, x)
@@ -438,24 +409,13 @@ def _cmd_scan_signs(args) -> int:
     if x is not None:
         payload["x"] = list(x)
     _emit_json(args, payload)
-    return 0
 
 
-def _cmd_scan_weights(args) -> int:
+def _cmd_scan_weights(args) -> None:
     (dist,) = _load_dists(args.infile)
-    grid = _parse_fraction_list(args.grid_values)
+    grid = [as_fraction(value) for value in args.grid_values.split(",")]
     result = search.weight_grid_search(dist, args.n, grid, cap=args.cap)
-    _emit_json(args, {
-        "n": args.n,
-        "grid": grid,
-        "value": result.value,
-        "weights": list(result.weights),
-        "x": list(result.x),
-        "sign_value": result.sign_value,
-        "sign_vector": list(result.sign_vector),
-        "exceeds_signs": result.exceeds_signs,
-    })
-    return 0
+    _emit_json(args, {"n": args.n, "grid": grid, **vars(result)})
 
 
 # -- parser ------------------------------------------------------------------
@@ -464,14 +424,6 @@ def _cmd_scan_weights(args) -> int:
 def _add_io(parser, default_format="json"):
     parser.add_argument("--out", help="write output here instead of stdout")
     parser.add_argument("--format", choices=("json", "csv"), default=default_format)
-
-
-def _add_check_flags(parser):
-    parser.add_argument("--in", dest="infile", help="JSON input for a fixed instance")
-    parser.add_argument("--trials", type=int, help="run this many seeded random instances")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--witness", help="path for the violation witness (default witness.json)")
-    _add_io(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -524,26 +476,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = top.add_parser("check", help="verify an inequality on an instance or a seeded batch")
     sub = p_check.add_subparsers(dest="subcommand", required=True)
-    p = sub.add_parser("gabriel", help="zero-sum coefficient versus canonical rearrangements")
-    p.add_argument("--star-from", type=int, default=2, help="first index rearranged symmetrically")
-    _add_check_flags(p)
-    p.set_defaults(handler=_cmd_check_gabriel)
-    p = sub.add_parser("birnbaum", help="peakedness transfer through convolution")
-    p.add_argument("--k", type=int, help="interval radius (fixed instance)")
-    _add_check_flags(p)
-    p.set_defaults(handler=_cmd_check_birnbaum)
-    p = sub.add_parser("balancing", help="hit probability versus best alternating iid replacement")
-    p.add_argument("--x", help="target point (fixed instance)")
-    _add_check_flags(p)
-    p.set_defaults(handler=_cmd_check_balancing)
-    p = sub.add_parser("theorem2", help="hit probability versus alternating quasi-uniform ceiling")
-    p.add_argument("--alpha", help="concentration level")
-    p.add_argument("--x", help="target point (fixed instance)")
-    _add_check_flags(p)
-    p.set_defaults(handler=_cmd_check_theorem2)
-    p = sub.add_parser("monotone", help="largest atom never increases along prefix sums")
-    _add_check_flags(p)
-    p.set_defaults(handler=_cmd_check_monotone)
+    for name, check in CHECKS.items():
+        p = sub.add_parser(name, help=check.help)
+        for flag, spec in check.flags:
+            p.add_argument(flag, **spec)
+        p.add_argument("--in", dest="infile", help="JSON input for a fixed instance")
+        p.add_argument("--trials", type=int, help="run this many seeded random instances")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--witness", help="path for the violation witness (default witness.json)")
+        _add_io(p)
+        p.set_defaults(handler=_cmd_check)
 
     p_dec = top.add_parser("decompose", help="peel an extreme point of a concentration cap")
     p_dec.add_argument("--in", dest="infile", required=True)
@@ -614,17 +556,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.handler(args)
+        args.handler(args)
     except AssertionFailed as exc:
         path = _dump_witness(args, exc)
         print(f"violated: {exc} (witness written to {path})", file=sys.stderr)
         return 2
-    except UsageError as exc:
+    except (UsageError, OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -10,21 +10,36 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
-from .errors import DimensionMismatch, MassNotOne, NegativeMass, ZeroWeight
+from .errors import DimensionMismatch, MassNotOne, NegativeMass, ZeroWeight, _require_common_dim
 
 Point = tuple[int, ...]
 RationalLike = Union[Fraction, int, str]
 PointLike = Union[int, Sequence[int]]
 
+_RATIONAL = re.compile(r"(-?\d+)(?:/(0*[1-9]\d*))?", re.ASCII)    # no zero denominator
+
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce ints and 'num/den' strings to Fraction; Fractions pass through."""
-    return value if isinstance(value, Fraction) else Fraction(value)
+    """Coerce ints and 'num/den' strings to Fraction; Fractions pass through.
+
+    A string is [-]digits or [-]digits/digits with a nonzero denominator.
+    Floats, decimals, bools and other strings raise ValueError; none is
+    coerced.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if type(value) is int:
+        return Fraction(value)
+    match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
+        raise ValueError(f"not a rational: {value!r}")
+    return Fraction(int(match[1]), int(match[2] or 1))
 
 
 def as_point(value: PointLike) -> Point:
@@ -198,7 +213,17 @@ class Dist:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "Dist":
-        dist = Dist.from_entries((tuple(p), Fraction(m)) for p, m in obj["atoms"])
+        """Parse the canonical JSON object; any other shape, a coordinate that is
+        not a JSON integer or a mass as_fraction rejects raises ValueError."""
+        if not (isinstance(obj, dict) and type(obj.get("dim")) is int and isinstance(obj.get("atoms"), list)):
+            raise ValueError('a law is a JSON object {"dim": d, "atoms": [[point, mass], ...]}')
+        entries = []
+        for atom in obj["atoms"]:
+            if not (isinstance(atom, list) and len(atom) == 2 and isinstance(atom[0], list)
+                    and all(type(c) is int for c in atom[0])):
+                raise ValueError(f"an atom is [[c1, ..., cd], mass] with integer coordinates, got {atom!r}")
+            entries.append((atom[0], as_fraction(atom[1])))
+        dist = Dist.from_entries(entries)
         if dist.dim != obj["dim"]:
             raise DimensionMismatch(f"declared dim {obj['dim']} but atoms have dim {dist.dim}")
         return dist
@@ -293,9 +318,7 @@ def weighted_sum(weights: Sequence, components: Sequence[Dist]) -> ScaledDist:
     fracs = [as_fraction(w) for w in weights]
     if any(w == 0 for w in fracs):
         raise ZeroWeight("each weight must be nonzero")
-    d = components[0].dim
-    if any(comp.dim != d for comp in components):
-        raise DimensionMismatch("components must share one dimension")
+    _require_common_dim(components, "component")
     denom = math.lcm(*(w.denominator for w in fracs))
     ints = [int(w * denom) for w in fracs]
     parts = [comp.scale(w) for w, comp in zip(ints, components)]

@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that raise them."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 class DimensionMismatch(ValueError):
@@ -83,3 +85,48 @@ class AssertionFailed(RuntimeError):
     def __init__(self, message, witness=None):
         self.witness = dict(witness or {})
         super().__init__(message)
+
+
+def require_bound(message, lhs, rhs, **witness):
+    """Raise AssertionFailed unless the checked bound lhs <= rhs holds.
+
+    The one place where a violated comparison becomes a failure; the witness
+    holds the caller's replay fields followed by both sides.
+    """
+    if lhs > rhs:
+        raise AssertionFailed(message, witness={**witness, "lhs": lhs, "rhs": rhs})
+
+
+# -- parameter domains: one validator each, shared by every module ---------
+
+
+def _require_at_least(name, value, low):
+    if value < low:
+        raise ParamOutOfRange(f"need {name} >= {low}, got {value}")
+
+
+def _require_even(n):
+    if n == 0 or n % 2 == 1:
+        raise OddN(f"need an even number of summands, got {n}")
+
+
+def _require_alpha(a):
+    if not 0 < a < 1:
+        raise AlphaOutOfRange(f"level must lie in (0, 1), got {a}")
+    return a
+
+
+def _require_p(q):
+    if not 0 < q <= Fraction(1, 2):
+        raise ParamOutOfRange(f"success mass must lie in (0, 1/2], got {q}")
+    return q
+
+
+def _require_common_dim(dists, noun):
+    """The dimension of a nonempty list of laws; `noun` names them in errors."""
+    if not dists:
+        raise ValueError(f"need at least one {noun}")
+    dim = dists[0].dim
+    if any(d.dim != dim for d in dists):
+        raise DimensionMismatch(f"{noun}s must share one dimension")
+    return dim

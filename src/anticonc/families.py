@@ -12,14 +12,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .dist import Dist, PointLike, RationalLike, as_fraction, as_point
-from .errors import AlphaOutOfRange, ParamOutOfRange, RestPointInSupport, WrongSupportSize
-
-
-def _check_alpha(alpha: RationalLike) -> Fraction:
-    a = as_fraction(alpha)
-    if not 0 < a < 1:
-        raise AlphaOutOfRange(f"level must lie in (0, 1), got {a}")
-    return a
+from .errors import ParamOutOfRange, RestPointInSupport, WrongSupportSize, _require_alpha, _require_p
 
 
 def quasi_uniform(alpha: RationalLike) -> Dist:
@@ -28,13 +21,9 @@ def quasi_uniform(alpha: RationalLike) -> Dist:
     Mass alpha on each of 0, 1, ..., floor(1/alpha) - 1 and the remainder,
     if positive, on floor(1/alpha).
     """
-    a = _check_alpha(alpha)
+    a = _require_alpha(as_fraction(alpha))
     k = math.floor(1 / a)
-    entries: list[tuple[int, Fraction]] = [(level, a) for level in range(k)]
-    remainder = 1 - k * a
-    if remainder > 0:
-        entries.append((k, remainder))
-    return Dist.from_entries(entries)
+    return extreme_point_measure(a, range(k), k)
 
 
 def quasi_uniform_variance(alpha: RationalLike) -> Fraction:
@@ -44,7 +33,7 @@ def quasi_uniform_variance(alpha: RationalLike) -> Fraction:
         k (k + 1) alpha (2 + 4k - 3 alpha k - 3 alpha k^2) / 12
     which collapses to (1 - alpha^2) / (12 alpha^2) when 1/alpha is integer.
     """
-    a = _check_alpha(alpha)
+    a = _require_alpha(as_fraction(alpha))
     k = math.floor(1 / a)
     return Fraction(k * (k + 1), 12) * a * (2 + 4 * k - 3 * a * k - 3 * a * k * k)
 
@@ -56,7 +45,7 @@ def extreme_point_measure(alpha: RationalLike, points: Iterable[PointLike], rest
     atom is at most alpha: exactly floor(1/alpha) points carry alpha and one
     further point carries 1 - floor(1/alpha) * alpha when that is positive.
     """
-    a = _check_alpha(alpha)
+    a = _require_alpha(as_fraction(alpha))
     k = math.floor(1 / a)
     pts = sorted({as_point(p) for p in points})
     if len(pts) != k:
@@ -75,10 +64,7 @@ def extreme_point_measure(alpha: RationalLike, points: Iterable[PointLike], rest
 
 def bernoulli(p: RationalLike) -> Dist:
     """Law on {0, 1} with success mass p."""
-    q = as_fraction(p)
-    if not 0 < q <= 1:
-        raise ParamOutOfRange(f"success mass must lie in (0, 1], got {q}")
-    return Dist.from_entries([(0, 1 - q), (1, q)])
+    return binomial(1, p)
 
 
 def binomial(n: int, p: RationalLike) -> Dist:
@@ -101,9 +87,7 @@ def alternating_bernoulli(n: int, p: RationalLike) -> Dist:
     """
     if n < 1:
         raise ParamOutOfRange(f"need at least one summand, got {n}")
-    q = as_fraction(p)
-    if not 0 < q <= Fraction(1, 2):
-        raise ParamOutOfRange(f"success mass must lie in (0, 1/2], got {q}")
+    q = _require_p(as_fraction(p))
     plus = binomial((n + 1) // 2, q)
     minus = binomial(n // 2, q).negate()
     return plus.convolve(minus)

@@ -14,15 +14,8 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .dist import Dist, Point, PointLike, RationalLike, as_fraction, as_point, convolve_all, same_type, self_convolve
-from .errors import AlphaOutOfRange, AssertionFailed, DimensionMismatch, OddN, QTooLarge
+from .errors import AssertionFailed, QTooLarge, _require_alpha, _require_common_dim, _require_even, require_bound
 from .families import extreme_point_measure
-
-
-def _common_dim(dists: Sequence[Dist]) -> int:
-    d = dists[0].dim
-    if any(m.dim != d for m in dists):
-        raise DimensionMismatch("distributions must share one dimension")
-    return d
 
 
 @dataclass(frozen=True)
@@ -46,7 +39,7 @@ def agm_step(first_half: Sequence[Dist], second_half: Sequence[Dist]) -> AgmStep
         raise ValueError("both halves must be nonempty")
     if len(first_half) != len(second_half):
         raise ValueError("halves must have equal length")
-    dim = _common_dim([*first_half, *second_half])
+    dim = _require_common_dim([*first_half, *second_half], "distribution")
     zero = (0,) * dim
     s = convolve_all(first_half)
     t = convolve_all(second_half)
@@ -87,9 +80,7 @@ def type_partition(dists: Sequence[Dist]) -> TypePartition:
     canonical serialization; the representative itself is the sign variant
     with the smaller serialization, so the output is order-independent.
     """
-    if not dists:
-        raise ValueError("need at least one distribution")
-    _common_dim(dists)
+    _require_common_dim(dists, "distribution")
     groups: list[tuple[Dist, list[int]]] = []
     for idx, mu in enumerate(dists):
         for rep, members in groups:
@@ -121,12 +112,9 @@ def balancing_bound(dists: Sequence[Dist], x: PointLike) -> BalancingBound:
     bound is x-independent, so callers may reuse rhs across targets.
     """
     n = len(dists)
-    if n == 0 or n % 2 == 1:
-        raise OddN(f"need an even number of summands, got {n}")
-    dim = _common_dim(dists)
+    _require_even(n)
+    dim = _require_common_dim(dists, "distribution")
     target = as_point(x)
-    if len(target) != dim:
-        raise DimensionMismatch(f"target {target} has dim {len(target)}, expected {dim}")
     zero = (0,) * dim
     lhs = convolve_all(dists).atom(target)
     best_index, best_rhs = 0, None
@@ -135,11 +123,7 @@ def balancing_bound(dists: Sequence[Dist], x: PointLike) -> BalancingBound:
         rhs_j = self_convolve(symmetrized, n // 2).atom(zero)
         if best_rhs is None or rhs_j > best_rhs:
             best_index, best_rhs = j, rhs_j
-    if lhs > best_rhs:
-        raise AssertionFailed(
-            "balancing bound failed",
-            witness={"x": target, "lhs": lhs, "rhs": best_rhs, "index": best_index},
-        )
+    require_bound("balancing bound failed", lhs, best_rhs, x=target, index=best_index)
     return BalancingBound(best_index, lhs, best_rhs, lhs < best_rhs)
 
 
@@ -185,9 +169,7 @@ def extreme_decompose(mu: Dist, alpha: RationalLike) -> Union[Extremal, Mixture]
     mu1 still respects the cap.  The reconstruction identity and both caps
     are re-checked exactly.
     """
-    a = as_fraction(alpha)
-    if not 0 < a < 1:
-        raise AlphaOutOfRange(f"level must lie in (0, 1), got {a}")
+    a = _require_alpha(as_fraction(alpha))
     q, _ = mu.concentration()
     if q > a:
         raise QTooLarge(f"largest atom {q} exceeds level {a}")

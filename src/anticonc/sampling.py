@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from .dist import Dist, as_fraction
+from .errors import _require_alpha
 from .transforms import CenteredSeq
 
 
@@ -37,7 +38,7 @@ def random_capped_dist(rng: random.Random, alpha, span: int = 6, parts: int = 3)
     Built as a convex combination of extreme points of the cap (each a flat
     measure at level alpha plus remainder), so the cap holds by convexity.
     """
-    a = as_fraction(alpha)
+    a = _require_alpha(as_fraction(alpha))
     k = math.floor(1 / a)
     entries = []
     for weight in random_masses(rng, rng.randint(1, parts)):

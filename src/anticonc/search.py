@@ -27,15 +27,18 @@ from .dist import (
     weighted_sum,
 )
 from .errors import (
-    AlphaOutOfRange,
     AssertionFailed,
-    DimensionMismatch,
     EvenN,
-    OddN,
     ParamOutOfRange,
     QTooLarge,
     TooLarge,
     ZeroWeight,
+    _require_alpha,
+    _require_at_least,
+    _require_common_dim,
+    _require_even,
+    _require_p,
+    require_bound,
 )
 from .families import binomial, quasi_uniform
 
@@ -44,9 +47,7 @@ def signed_binomial_diff(n: int, k: int, p: RationalLike) -> Dist:
     """Law of B - B' with B ~ Binomial(n - k, p), B' ~ Binomial(k, p) independent."""
     if not 0 <= k <= n:
         raise ParamOutOfRange(f"need 0 <= k <= n, got k={k}, n={n}")
-    q = as_fraction(p)
-    if not 0 < q <= Fraction(1, 2):
-        raise ParamOutOfRange(f"success mass must lie in (0, 1/2], got {q}")
+    q = _require_p(as_fraction(p))
     return binomial(n - k, q).convolve(binomial(k, q).negate())
 
 
@@ -81,13 +82,10 @@ def optimal_k_scan(n: int, p: RationalLike, *, allow_even: bool = False) -> KSca
     value, raising AssertionFailed otherwise.  Smaller k and smaller x win
     ties.  Even n is rejected unless allow_even is set.
     """
-    if n < 1:
-        raise ParamOutOfRange(f"need n >= 1, got {n}")
+    _require_at_least("n", n, 1)
     if n % 2 == 0 and not allow_even:
         raise EvenN(f"scan is defined for odd n, got {n}")
-    q = as_fraction(p)
-    if not 0 < q <= Fraction(1, 2):
-        raise ParamOutOfRange(f"success mass must lie in (0, 1/2], got {q}")
+    q = _require_p(as_fraction(p))
     rows = []
     for k in range(n // 2 + 1):
         d = signed_binomial_diff(n, k, q)
@@ -153,15 +151,9 @@ def sign_vector_max(dist: Dist, n: int, x: PointLike | None = None) -> tuple[Fra
     depends only on the number of +1 signs, so only n + 1 laws are formed;
     the reported witness is the lexicographically smallest maximizer.
     """
-    if n < 1:
-        raise ParamOutOfRange(f"need n >= 1, got {n}")
+    _require_at_least("n", n, 1)
     if n > 24:
         raise TooLarge(f"sign enumeration capped at n = 24, got {n}")
-    target = None
-    if x is not None:
-        target = as_point(x)
-        if len(target) != dist.dim:
-            raise DimensionMismatch(f"target {target} has dim {len(target)}, expected {dist.dim}")
     plus_powers = [delta((0,) * dist.dim)]
     minus_powers = [delta((0,) * dist.dim)]
     negated = dist.negate()
@@ -171,7 +163,7 @@ def sign_vector_max(dist: Dist, n: int, x: PointLike | None = None) -> tuple[Fra
     best: tuple[Fraction, int] | None = None
     for j in range(n + 1):
         law = minus_powers[n - j].convolve(plus_powers[j])
-        value = law.concentration()[0] if target is None else law.atom(target)
+        value = law.concentration()[0] if x is None else law.atom(x)
         if best is None or value > best[0]:
             best = (value, j)
     value, j = best
@@ -205,11 +197,12 @@ def weight_grid_search(dist: Dist, n: int, grid: Sequence[RationalLike], cap: in
 
     X_i are iid copies of `dist`.  Weight tuples equivalent under global
     rescaling or reordering give the same maximum, so each orbit is
-    evaluated once; the first tuple met in lexicographic order represents
-    its orbit, making the reported witness the smallest one.
+    evaluated once.  Because the summands are iid, the smallest tuple of an
+    orbit in lexicographic order is sorted, so only sorted tuples are
+    enumerated, in lexicographic order; the first one met represents its
+    orbit, making the reported witness the smallest maximizer.
     """
-    if n < 1:
-        raise ParamOutOfRange(f"need n >= 1, got {n}")
+    _require_at_least("n", n, 1)
     values = sorted({as_fraction(g) for g in grid})
     if not values:
         raise ParamOutOfRange("empty weight grid")
@@ -220,7 +213,7 @@ def weight_grid_search(dist: Dist, n: int, grid: Sequence[RationalLike], cap: in
     sign_value, sign_vector = sign_vector_max(dist, n)
     seen: set[tuple[int, ...]] = set()
     best: tuple[Fraction, tuple[Fraction, ...], Point] | None = None
-    for tup in itertools.product(values, repeat=n):
+    for tup in itertools.combinations_with_replacement(values, n):
         key = _weight_orbit_key(tup)
         if key in seen:
             continue
@@ -241,30 +234,18 @@ def quasi_uniform_bound_check(dists: Sequence[Dist], alpha: RationalLike, x: Poi
     alternating sum of n iid quasi-uniform(alpha) variables.  Returns
     (lhs, rhs) and raises AssertionFailed if the ceiling fails.
     """
-    n = len(dists)
-    if n == 0 or n % 2 == 1:
-        raise OddN(f"need an even number of summands, got {n}")
-    a = as_fraction(alpha)
-    if not 0 < a < 1:
-        raise AlphaOutOfRange(f"level must lie in (0, 1), got {a}")
-    dim = dists[0].dim
-    if any(m.dim != dim for m in dists):
-        raise DimensionMismatch("distributions must share one dimension")
+    _require_even(len(dists))
+    a = _require_alpha(as_fraction(alpha))
+    _require_common_dim(dists, "distribution")
     for i, mu in enumerate(dists):
         q, _ = mu.concentration()
         if q > a:
             raise QTooLarge(f"summand {i} has largest atom {q} > {a}")
     target = as_point(x)
-    if len(target) != dim:
-        raise DimensionMismatch(f"target {target} has dim {len(target)}, expected {dim}")
     lhs = convolve_all(dists).atom(target)
     u = quasi_uniform(a)
-    rhs = self_convolve(u.convolve(u.negate()), n // 2).atom(0)
-    if lhs > rhs:
-        raise AssertionFailed(
-            "quasi-uniform ceiling failed",
-            witness={"x": target, "lhs": lhs, "rhs": rhs, "alpha": a},
-        )
+    rhs = self_convolve(u.convolve(u.negate()), len(dists) // 2).atom(0)
+    require_bound("quasi-uniform ceiling failed", lhs, rhs, x=target, alpha=a)
     return lhs, rhs
 
 
@@ -274,20 +255,12 @@ def monotonicity_check(dists: Sequence[Dist]) -> tuple[Fraction, ...]:
     Returns the sequence of concentration maxima for X_1, X_1 + X_2, ...;
     a violation raises AssertionFailed with the offending prefix.
     """
-    if not dists:
-        raise ValueError("need at least one distribution")
-    dim = dists[0].dim
-    if any(m.dim != dim for m in dists):
-        raise DimensionMismatch("distributions must share one dimension")
+    _require_common_dim(dists, "distribution")
     acc = dists[0]
     maxima = [acc.concentration()[0]]
     for i, mu in enumerate(dists[1:], start=2):
         acc = acc.convolve(mu)
         q = acc.concentration()[0]
-        if q > maxima[-1]:
-            raise AssertionFailed(
-                "concentration maximum increased along a prefix",
-                witness={"prefix": i, "previous": maxima[-1], "current": q},
-            )
+        require_bound("concentration maximum increased along a prefix", q, maxima[-1], prefix=i)
         maxima.append(q)
     return tuple(maxima)

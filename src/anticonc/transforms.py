@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .dist import Dist, RationalLike, as_fraction
-from .errors import DimensionMismatch, NotSymmetrizable, PreconditionViolated
+from .errors import DimensionMismatch, NotSymmetrizable, PreconditionViolated, require_bound
 
 _ZERO = Fraction(0)
 
@@ -51,27 +51,20 @@ class CenteredSeq:
         return sum(self.values, start=_ZERO)
 
 
-def _deal(seq: CenteredSeq, positions: list[int]) -> CenteredSeq:
-    ordered = sorted(seq.values, reverse=True)
-    placed = dict(zip(positions, ordered))
-    k = seq.radius
-    return CenteredSeq(tuple(placed[i] for i in range(-k, k + 1)))
-
-
 def rearrange_left(seq: CenteredSeq) -> CenteredSeq:
     """Largest value at 0, next on the negative side first."""
     order = [0]
     for i in range(1, seq.radius + 1):
         order += [-i, i]
-    return _deal(seq, order)
+    ordered = sorted(seq.values, reverse=True)
+    placed = dict(zip(order, ordered))
+    k = seq.radius
+    return CenteredSeq(tuple(placed[i] for i in range(-k, k + 1)))
 
 
 def rearrange_right(seq: CenteredSeq) -> CenteredSeq:
-    """Largest value at 0, next on the positive side first."""
-    order = [0]
-    for i in range(1, seq.radius + 1):
-        order += [i, -i]
-    return _deal(seq, order)
+    """Largest value at 0, next on the positive side first: the mirror image of left."""
+    return CenteredSeq(rearrange_left(seq).values[::-1])
 
 
 def rearrange_symmetric(seq: CenteredSeq) -> CenteredSeq:
@@ -123,7 +116,8 @@ def gabriel_sides(seqs: Sequence[CenteredSeq], star_from: int = 2) -> tuple[Frac
     sequence from index `star_from` on is replaced by its symmetric
     decreasing rearrangement.  Sequences between index 2 and `star_from`
     must already be symmetric decreasing; they are kept as they are.
-    Returns (original, rearranged); the rearranged side is never smaller.
+    Returns (original, rearranged); the rearranged side is never smaller,
+    and AssertionFailed is raised if it is.
     """
     if len(seqs) < 2:
         raise ValueError("need at least two sequences")
@@ -140,7 +134,9 @@ def gabriel_sides(seqs: Sequence[CenteredSeq], star_from: int = 2) -> tuple[Frac
             transformed.append(seq)
         else:
             transformed.append(star)
-    return _zero_sum_coefficient(seqs), _zero_sum_coefficient(transformed)
+    lhs, rhs = _zero_sum_coefficient(seqs), _zero_sum_coefficient(transformed)
+    require_bound("rearranged zero-sum coefficient decreased", lhs, rhs, seqs=list(seqs), star_from=star_from)
+    return lhs, rhs
 
 
 # -- peakedness ------------------------------------------------------------
@@ -159,12 +155,11 @@ def birnbaum_sides(mu_x: Dist, mu_y: Dist, mu_yp: Dist, k: int) -> tuple[Fractio
 
     Requires X symmetric unimodal, Y and Y' symmetric unimodal, and Y' at
     least as peaked as Y; then P(|X + Y| <= k) <= P(|X + Y'| <= k).
-    Raises PreconditionViolated naming the hypothesis that fails.
+    Raises PreconditionViolated naming the hypothesis that fails, and
+    AssertionFailed if the inequality does.
     """
     if any(d.dim != 1 for d in (mu_x, mu_y, mu_yp)):
         raise DimensionMismatch("peakedness comparisons need dimension 1")
-    if k < 0:
-        raise ValueError("interval radius must be >= 0")
     for name, d in (("X", mu_x), ("Y", mu_y), ("Y'", mu_yp)):
         if not d.is_symmetric():
             raise PreconditionViolated(f"{name} is not symmetric about 0")
@@ -172,4 +167,6 @@ def birnbaum_sides(mu_x: Dist, mu_y: Dist, mu_yp: Dist, k: int) -> tuple[Fractio
             raise PreconditionViolated(f"{name} is not unimodal")
     if not peakedness_dominates(mu_y, mu_yp):
         raise PreconditionViolated("Y' is not at least as peaked as Y")
-    return mu_x.convolve(mu_y).interval_prob(k), mu_x.convolve(mu_yp).interval_prob(k)
+    lhs, rhs = mu_x.convolve(mu_y).interval_prob(k), mu_x.convolve(mu_yp).interval_prob(k)
+    require_bound("peakedness failed to transfer through the convolution", lhs, rhs, k=k, X=mu_x, Y=mu_y, Yp=mu_yp)
+    return lhs, rhs

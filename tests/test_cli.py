@@ -1,11 +1,12 @@
 import csv
 import io
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from anticonc import Dist, bernoulli, uniform_on
+from anticonc import Dist, bernoulli, cli, uniform_on
 from anticonc.cli import _dump_witness, build_parser, main
 from anticonc.errors import AssertionFailed
 
@@ -188,6 +189,11 @@ class TestAsymCommands:
         assert rows[0][2] == "b=2/1;c=1/1"
         assert float(rows[0][5]) < 1e-3
 
+    def test_wagner_past_the_float_range_is_input_error(self, capsys):
+        code, _, err = run(capsys, "asym", "wagner", "--n", "520", "--b", "2", "--c", "1")
+        assert code == 1
+        assert "exceeds the float range" in err
+
 
 class TestScanCommands:
     def test_kphase_csv(self, capsys):
@@ -270,3 +276,58 @@ class TestErrorPaths:
         assert code == 2
         assert "violated" in err
         assert json.loads(witness.read_text())["error"] == "forced"
+
+
+MALFORMED = [
+    # (text of the --in file or None, command line; {in} is that file)
+    ('{"dim":1,"atoms":[[[0],"0.5"],[[1],"1/2"]]}', "dist q --in {in}"),
+    ('{"dim":1,"atoms":[[[0],0.5],[[1],"1/2"]]}', "dist q --in {in}"),
+    ('{"dim":1,"atoms":[[[0],true]]}', "dist q --in {in}"),
+    ('{"dim":1,"atoms":[[[0.7],"1/2"],[[1],"1/2"]]}', "dist q --in {in}"),
+    ('{"dim":1,"atoms":[[[true],"1/2"],[[0],"1/2"]]}', "dist q --in {in}"),
+    ('{"dim":1,"atoms":[[[0],"1/0"],[[1],"1/2"]]}', "dist q --in {in}"),
+    ("[1,2]", "dist q --in {in}"),
+    ('{"dim":1}', "dist q --in {in}"),
+    ('{"dim":1,"atoms":[[0,"1/2"],[1,"1/2"]]}', "dist q --in {in}"),
+    ('[["1/5","1/2","3/10"]]', "check monotone --in {in}"),
+    ("[1,2]", "check gabriel --in {in}"),
+    (None, "family ualpha --alpha 0.25"),
+    (None, "family binom --n 2 --p 1e-1"),
+    (None, "rearrange left --values 1/2,0.25,1/4"),
+    (None, "check theorem2 --trials 1 --alpha 0"),
+]
+
+
+@pytest.mark.parametrize("text, command", MALFORMED)
+def test_malformed_input_exits_1_without_traceback(tmp_path, capsys, text, command):
+    path = tmp_path / "in.json"
+    if text is not None:
+        path.write_text(text)
+    code, _, err = run(capsys, *command.format(**{"in": path}).split())
+    assert code == 1
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("sub, checker, instance_keys", [
+    ("gabriel", "anticonc.cli.gabriel_sides", ("seqs",)),
+    ("birnbaum", "anticonc.cli.birnbaum_sides", ("X", "Y", "Yp")),
+    ("balancing", "anticonc.cli.balancing_bound", ("dists",)),
+    ("theorem2", "anticonc.search.quasi_uniform_bound_check", ("alpha", "dists")),
+    ("monotone", "anticonc.search.monotonicity_check", ("dists",)),
+])
+def test_trial_witness_can_be_replayed(tmp_path, capsys, monkeypatch, sub, checker, instance_keys):
+    def broken(*args, **kwargs):
+        raise AssertionFailed("forced", witness={"lhs": F(1), "rhs": F(0)})
+
+    monkeypatch.setattr(checker, broken)
+    witness = tmp_path / "w.json"
+    argv = ["check", sub, "--trials", "3", "--seed", "5", "--witness", str(witness)]
+    code, _, _ = run(capsys, *argv)
+    assert code == 2
+    payload = json.loads(witness.read_text())["witness"]
+    assert (payload["seed"], payload["trial"]) == (5, 0)
+    # the first draw from the recorded seed regenerates the recorded instance
+    instance = cli.CHECKS[sub].draw(build_parser().parse_args(argv), random.Random(payload["seed"]))
+    assert sorted(instance) == sorted(instance_keys)
+    assert {key: payload[key] for key in instance_keys} == cli._jsonable(instance)

@@ -175,6 +175,10 @@ class TestWeightGridSearch:
             best = max(best, law.concentration()[0])
         result = weight_grid_search(d, 2, grid)
         assert result.value == best
+        assert result.weights == next(
+            tup for tup in itertools.product(grid, repeat=2)
+            if weighted_sum(tup, [d] * 2).dist.concentration()[0] == best
+        )
 
     def test_scaled_grid_gives_scaled_witness_same_value(self):
         b = bernoulli(F(1, 3))
