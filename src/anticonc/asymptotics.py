@@ -12,20 +12,30 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dist import RationalLike, as_fraction
+from .dist import RationalLike, as_fraction, self_convolve
 from .errors import ParamOutOfRange, _require_at_least, _require_p
-from .families import alternating_bernoulli, quasi_uniform_variance
+from .families import alternating_bernoulli, quasi_uniform, quasi_uniform_variance
 
 
 def local_limit_bound(n: int, alpha: RationalLike) -> float:
     """First-order ceiling (2 pi n v)^(-1/2) with v the quasi-uniform variance.
 
     This is the leading coefficient of the concentration maximum for n
-    summands capped at level alpha; it scales like n^(-1/2).
+    summands capped at level alpha; it scales like n^(-1/2).  Its exact
+    partner is local_limit_exact.
     """
     _require_at_least("n", n, 1)
     v = quasi_uniform_variance(alpha)
     return 1.0 / math.sqrt(2.0 * math.pi * n * float(v))
+
+
+def local_limit_exact(n: int, alpha: RationalLike) -> Fraction:
+    """P(U_1 - U_2 + U_3 - ... = 0) for n iid quasi-uniform(alpha) summands:
+    a power of the alternating pair, and one more +1 summand when n is odd."""
+    _require_at_least("n", n, 1)
+    u = quasi_uniform(alpha)
+    law = self_convolve(u.convolve(u.negate()), n // 2)
+    return (law.convolve(u) if n % 2 else law).atom(0)
 
 
 def small_dev_ratio_exact(n: int, p: RationalLike, k: int) -> Fraction:
@@ -68,22 +78,13 @@ def alternating_zero_asym(n: int, p: RationalLike) -> float:
 
 
 def middle_coeff_exact(n: int, b: RationalLike, c: RationalLike) -> Fraction:
-    """Central coefficient of (x^2 + b x + c)^n by exact polynomial powering."""
+    """Central coefficient of (x^2 + b x + c)^n: x^n takes x^2 from i factors,
+    c from i and b x from n - 2i, so it is sum_i C(n, 2i) C(2i, i) b^(n-2i) c^i."""
     _require_at_least("n", n, 1)
     bf, cf = as_fraction(b), as_fraction(c)
     if bf <= 0 or cf <= 0:
         raise ParamOutOfRange("coefficients must be positive")
-    factor = [cf, bf, Fraction(1)]
-    acc = [Fraction(1)]
-    for _ in range(n):
-        nxt = [Fraction(0)] * (len(acc) + 2)
-        for i, a in enumerate(acc):
-            if a == 0:
-                continue
-            for j, f in enumerate(factor):
-                nxt[i + j] += a * f
-        acc = nxt
-    return acc[n]
+    return sum(math.comb(n, 2 * i) * math.comb(2 * i, i) * bf ** (n - 2 * i) * cf**i for i in range(n // 2 + 1))
 
 
 def middle_coeff_asym(n: int, b: RationalLike, c: RationalLike) -> float:

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import asymptotics, sampling, search
 from .dist import Dist, as_fraction, convolve_all, format_fraction
-from .errors import AssertionFailed
+from .errors import AssertionFailed, _require_at_least
 from .families import alternating_bernoulli, binomial, quasi_uniform
 from .reduction import Extremal, balancing_bound, extreme_decompose
 from .transforms import CenteredSeq, birnbaum_sides, gabriel_sides, rearrange_left, rearrange_right, rearrange_symmetric
@@ -294,7 +294,8 @@ CHECKS = {
 
 def _cmd_check(args) -> None:
     check = CHECKS[args.subcommand]
-    if args.trials:
+    if args.trials is not None:
+        _require_at_least("trials", args.trials, 1)
         rng = random.Random(args.seed)
         for trial in range(args.trials):
             instance = check.draw(args, rng)
@@ -338,9 +339,7 @@ def _cmd_asym_corollary2(args) -> None:
     alpha = as_fraction(args.alpha)
     n = args.n
     bound = asymptotics.local_limit_bound(n, alpha)
-    u = quasi_uniform(alpha)
-    parts = [u] * ((n + 1) // 2) + [u.negate()] * (n // 2)
-    exact = convolve_all(parts).atom(0)
+    exact = asymptotics.local_limit_exact(n, alpha)
     residual = abs(float(exact) - bound)
     row = ("local_limit_bound", n, format_fraction(alpha), format_fraction(exact),
            repr(bound), repr(residual), repr(residual / bound))

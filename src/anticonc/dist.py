@@ -262,12 +262,17 @@ def convolve_all(dists: Sequence[Dist]) -> Dist:
 
 
 def self_convolve(dist: Dist, n: int) -> Dist:
-    """n-fold convolution power; n = 0 gives the point mass at the origin."""
+    """n-fold convolution power by square and multiply; n = 0 gives the point
+    mass at the origin.  Exact, canonical laws make the product order moot."""
     if n < 0:
         raise ValueError("convolution power must be >= 0")
-    out = delta((0,) * dist.dim)
-    for _ in range(n):
-        out = out.convolve(dist)
+    out = delta((0,) * dist.dim) if n == 0 else None
+    while n:
+        if n & 1:
+            out = dist if out is None else out.convolve(dist)
+        n >>= 1
+        if n:
+            dist = dist.convolve(dist)
     return out
 
 

@@ -117,12 +117,9 @@ def balancing_bound(dists: Sequence[Dist], x: PointLike) -> BalancingBound:
     target = as_point(x)
     zero = (0,) * dim
     lhs = convolve_all(dists).atom(target)
-    best_index, best_rhs = 0, None
-    for j, mu in enumerate(dists):
-        symmetrized = mu.convolve(mu.negate())
-        rhs_j = self_convolve(symmetrized, n // 2).atom(zero)
-        if best_rhs is None or rhs_j > best_rhs:
-            best_index, best_rhs = j, rhs_j
+    rhs = [self_convolve(mu.convolve(mu.negate()), n // 2).atom(zero) for mu in dists]
+    best_rhs = max(rhs)
+    best_index = rhs.index(best_rhs)    # the first maximum: smallest index on ties
     require_bound("balancing bound failed", lhs, best_rhs, x=target, index=best_index)
     return BalancingBound(best_index, lhs, best_rhs, lhs < best_rhs)
 

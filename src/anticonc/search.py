@@ -23,9 +23,9 @@ from .dist import (
     as_point,
     convolve_all,
     delta,
-    self_convolve,
     weighted_sum,
 )
+from .asymptotics import local_limit_exact
 from .errors import (
     AssertionFailed,
     EvenN,
@@ -40,7 +40,7 @@ from .errors import (
     _require_p,
     require_bound,
 )
-from .families import binomial, quasi_uniform
+from .families import binomial
 
 
 def signed_binomial_diff(n: int, k: int, p: RationalLike) -> Dist:
@@ -154,15 +154,10 @@ def sign_vector_max(dist: Dist, n: int, x: PointLike | None = None) -> tuple[Fra
     _require_at_least("n", n, 1)
     if n > 24:
         raise TooLarge(f"sign enumeration capped at n = 24, got {n}")
-    plus_powers = [delta((0,) * dist.dim)]
-    minus_powers = [delta((0,) * dist.dim)]
-    negated = dist.negate()
-    for _ in range(n):
-        plus_powers.append(plus_powers[-1].convolve(dist))
-        minus_powers.append(minus_powers[-1].convolve(negated))
+    powers = list(itertools.accumulate([dist] * n, Dist.convolve, initial=delta((0,) * dist.dim)))
     best: tuple[Fraction, int] | None = None
     for j in range(n + 1):
-        law = minus_powers[n - j].convolve(plus_powers[j])
+        law = powers[n - j].negate().convolve(powers[j])
         value = law.concentration()[0] if x is None else law.atom(x)
         if best is None or value > best[0]:
             best = (value, j)
@@ -243,8 +238,7 @@ def quasi_uniform_bound_check(dists: Sequence[Dist], alpha: RationalLike, x: Poi
             raise QTooLarge(f"summand {i} has largest atom {q} > {a}")
     target = as_point(x)
     lhs = convolve_all(dists).atom(target)
-    u = quasi_uniform(a)
-    rhs = self_convolve(u.convolve(u.negate()), len(dists) // 2).atom(0)
+    rhs = local_limit_exact(len(dists), a)
     require_bound("quasi-uniform ceiling failed", lhs, rhs, x=target, alpha=a)
     return lhs, rhs
 

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from anticonc import (
+    Dist,
     alternating_bernoulli,
     alternating_zero_asym,
     alternating_zero_exact,
@@ -14,7 +15,10 @@ from anticonc import (
     small_dev_ratio_approx,
     small_dev_ratio_exact,
 )
+from anticonc.asymptotics import local_limit_exact
+from anticonc.dist import convolve_all, self_convolve
 from anticonc.errors import ParamOutOfRange
+from anticonc.families import quasi_uniform
 
 
 def binom_pmf(n, k, p):
@@ -88,6 +92,17 @@ class TestAlternatingZero:
             ]
             assert all(a > b for a, b in zip(scaled, scaled[1:]))
 
+    def test_exact_at_one_half_is_central_binomial(self):
+        for n in range(1, 41):
+            assert local_limit_exact(n, F(1, 2)) == F(math.comb(n, n // 2), 2**n)
+
+    def test_exact_matches_the_product_of_n_summands(self):
+        for alpha in (F(1, 3), F(2, 5), F(3, 4)):
+            u = quasi_uniform(alpha)
+            for n in range(1, 10):
+                parts = [u] * ((n + 1) // 2) + [u.negate()] * (n // 2)
+                assert local_limit_exact(n, alpha) == convolve_all(parts).atom(0)
+
     def test_domain(self):
         with pytest.raises(ParamOutOfRange):
             alternating_zero_exact(4, F(2, 3))
@@ -110,6 +125,13 @@ class TestMiddleCoefficient:
                 for i in range(n // 2 + 1)
             )
             assert middle_coeff_exact(n, b, c) == expected
+
+    def test_matches_the_convolution_route(self):
+        # (x^2 + b x + c)^n / (1 + b + c)^n is the n-th power of the law c, b, 1 on 0, 1, 2
+        for n, b, c in ((1, F(7, 2), F(9)), (7, F(3), F(2)), (8, F(1, 2), F(5, 3)), (15, F(2), F(1)), (17, F(3, 2), F(2))):
+            total = 1 + b + c
+            law = Dist.from_entries([(0, c / total), (1, b / total), (2, 1 / total)])
+            assert middle_coeff_exact(n, b, c) == self_convolve(law, n).atom(n) * total**n
 
     def test_single_factor(self):
         assert middle_coeff_exact(1, F(7, 2), F(9)) == F(7, 2)

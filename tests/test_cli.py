@@ -194,6 +194,30 @@ class TestAsymCommands:
         assert code == 1
         assert "exceeds the float range" in err
 
+    # Recorded from the n-fold product of n separate summands.  The corollary2
+    # floats come from sqrt and correctly rounded conversions only, so whole
+    # rows are pinned; wagner's asym column uses pow and is left out.
+    @pytest.mark.parametrize("n, alpha, row", [
+        (7, "1/3", "local_limit_bound,7,1/3,119/729,0.1846743909223718,0.02143707953691229,0.1160804128273714"),
+        (32, "1/3", "local_limit_bound,32,1/3,53038164023921/617673396283947,0.08637353736783387,"
+                    "0.0005058857205235967,0.005856952672543804"),
+        (95, "1/2", "local_limit_bound,95,1/2,1608766753466574727105400775/19807040628566084398385987584,"
+                    "0.08186122868467108,0.0006392640492080132,0.0078091186692353974"),
+    ])
+    def test_corollary2_golden_rows(self, capsys, n, alpha, row):
+        code, out, _ = run(capsys, "asym", "corollary2", "--n", str(n), "--alpha", alpha)
+        assert code == 0
+        assert out == f"quantity,n,param,exact,asym,residual,scaled_residual\n{row}\n"
+
+    def test_wagner_golden_exact(self, capsys):
+        code, out, _ = run(capsys, "asym", "wagner", "--n", "131", "--b", "3/2", "--c", "2")
+        assert code == 0
+        _, rows = self.parse_csv(out)
+        assert rows[0][3] == (
+            "26805961160896336682714847273388613239649604896081467688261104718350701156428061655533736747853659"
+            "149396505297586264787627/2722258935367507707706996859454145691648"
+        )
+
 
 class TestScanCommands:
     def test_kphase_csv(self, capsys):
@@ -295,6 +319,8 @@ MALFORMED = [
     (None, "family binom --n 2 --p 1e-1"),
     (None, "rearrange left --values 1/2,0.25,1/4"),
     (None, "check theorem2 --trials 1 --alpha 0"),
+    (None, "check gabriel --trials -2"),
+    (None, "check monotone --trials 0"),
 ]
 
 

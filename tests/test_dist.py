@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -219,3 +220,8 @@ def test_all_ones_weighted_sum_is_iterated_convolution(d, n):
     assert scale == 1
     assert law == convolve_all([d] * n)
     assert law == self_convolve(d, n)
+
+
+@given(dists(coord_bound=1), st.integers(0, 8))
+def test_self_convolve_is_the_iterated_product(d, n):
+    assert self_convolve(d, n) == reduce(Dist.convolve, [d] * n, delta((0,) * d.dim))
