@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dist import RationalLike, as_fraction, self_convolve
-from .errors import ParamOutOfRange, _require_at_least, _require_p
+from .errors import ParamOutOfRange, _require_at_least, _require_p, _require_support
 from .families import alternating_bernoulli, quasi_uniform, quasi_uniform_variance
 
 
@@ -34,6 +34,7 @@ def local_limit_exact(n: int, alpha: RationalLike) -> Fraction:
     a power of the alternating pair, and one more +1 summand when n is odd."""
     _require_at_least("n", n, 1)
     u = quasi_uniform(alpha)
+    _require_support(n, len(u.support))
     law = self_convolve(u.convolve(u.negate()), n // 2)
     return (law.convolve(u) if n % 2 else law).atom(0)
 
@@ -43,6 +44,7 @@ def small_dev_ratio_exact(n: int, p: RationalLike, k: int) -> Fraction:
     _require_at_least("n", n, 1)
     _require_at_least("k", k, 0)
     q = _require_p(as_fraction(p))
+    _require_support(2 * n, 2)
     d = alternating_bernoulli(2 * n, q)
     return d.atom(k) / d.atom(0)
 
@@ -57,7 +59,9 @@ def small_dev_ratio_approx(n: int, p: RationalLike, k: int) -> float:
 
 def alternating_zero_exact(n: int, p: RationalLike) -> Fraction:
     """P(D = 0) for D the alternating sum of n Bernoulli(p)."""
-    return alternating_bernoulli(n, _require_p(as_fraction(p))).atom(0)
+    q = _require_p(as_fraction(p))
+    _require_support(n, 2)
+    return alternating_bernoulli(n, q).atom(0)
 
 
 def alternating_zero_asym(n: int, p: RationalLike) -> float:
@@ -128,6 +132,7 @@ def odd_tail_ratios(m: int, p: RationalLike) -> OddTailRatios:
     _require_at_least("m", m, 2)
     q = _require_p(as_fraction(p))
     n_eff = 2 * (m - 1)
+    _require_support(n_eff + 3, 2)  # x and the alternating triple
     x = alternating_bernoulli(n_eff, q)
     x_zero = x.atom(0)
     pair_doubled = alternating_bernoulli(2, q).scale(2)

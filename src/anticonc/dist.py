@@ -1,9 +1,11 @@
 """Exact finitely supported probability measures on integer lattices.
 
-Masses are `fractions.Fraction` throughout and no operation ever rounds.
-Distributions are immutable; every operation returns a new one.  Atom lists
-are kept in lexicographic point order so equality, hashing and serialization
-are canonical.
+A law is stored as integer numerators over one common denominator, reduced
+so that gcd(den, *nums) == 1; convolution multiplies integers and no
+operation ever rounds.  Masses cross the API as `fractions.Fraction`.
+Distributions are immutable; every operation returns a new one.  Points are
+kept in lexicographic order, so the stored form is unique and equality,
+hashing and serialization are canonical.
 """
 
 from __future__ import annotations
@@ -54,21 +56,31 @@ def format_fraction(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _canonical(dim: int, mass: dict[Point, Fraction]) -> "Dist":
-    # shared exit point for all constructors: drop nulls, sort, check mass
-    atoms = tuple(sorted((p, m) for p, m in mass.items() if m != 0))
-    total: Fraction = sum((m for _, m in atoms), start=Fraction(0))
-    if total != 1:
-        raise MassNotOne(1 - total)
-    return Dist(dim, atoms)
+def _canonical(dim: int, mass: dict[Point, int], den: int) -> "Dist":
+    # shared exit point for all constructors: drop nulls, sort, check mass, reduce
+    support = sorted([p for p, m in mass.items() if m])
+    nums = [mass[p] for p in support]
+    total = sum(nums)
+    if total != den:
+        raise MassNotOne(Fraction(den - total, den))
+    g = math.gcd(den, *nums)
+    if g > 1:  # products of reduced laws are reduced (Gauss's lemma); merged images need not be
+        nums = [m // g for m in nums]
+    return Dist(dim, tuple(support), tuple(nums), den // g)
 
 
 @dataclass(frozen=True)
 class Dist:
-    """A probability measure with finite support on the lattice Z^dim."""
+    """A probability measure with finite support on the lattice Z^dim.
+
+    The mass at support[i] is nums[i] / den: points in lexicographic order,
+    positive numerators, and gcd(den, *nums) == 1.
+    """
 
     dim: int
-    atoms: tuple[tuple[Point, Fraction], ...]
+    support: tuple[Point, ...]
+    nums: tuple[int, ...]
+    den: int
 
     @staticmethod
     def from_entries(entries: Iterable[tuple[PointLike, RationalLike]]) -> "Dist":
@@ -92,36 +104,35 @@ class Dist:
             mass[p] = mass.get(p, Fraction(0)) + q
         if dim is None:
             raise ValueError("no atoms given")
-        return _canonical(dim, mass)
+        den = math.lcm(*[q.denominator for q in mass.values()])
+        return _canonical(dim, {p: q.numerator * (den // q.denominator) for p, q in mass.items()}, den)
 
     # -- queries -------------------------------------------------------
 
     @cached_property
-    def _mass(self) -> dict[Point, Fraction]:
-        return dict(self.atoms)
+    def atoms(self) -> tuple[tuple[Point, Fraction], ...]:
+        """The (point, mass) pairs in point order."""
+        return tuple([(p, Fraction(m, self.den)) for p, m in zip(self.support, self.nums)])
 
-    @property
-    def support(self) -> tuple[Point, ...]:
-        return tuple(p for p, _ in self.atoms)
+    @cached_property
+    def _mass(self) -> dict[Point, int]:
+        return dict(zip(self.support, self.nums))
 
     def atom(self, x: PointLike) -> Fraction:
         """Mass at the point x (0 if x is not an atom)."""
         p = as_point(x)
         if len(p) != self.dim:
             raise DimensionMismatch(f"point {p} has dim {len(p)}, expected {self.dim}")
-        return self._mass.get(p, Fraction(0))
+        return Fraction(self._mass.get(p, 0), self.den)
 
     def concentration(self) -> tuple[Fraction, Point]:
         """Largest atom and its location.
 
-        Ties broken toward the lexicographically smallest point; atoms are
-        stored in lex order, so the first strict improvement wins.
+        Ties broken toward the lexicographically smallest point; points are
+        stored in lex order, so the first maximum wins.
         """
-        best_m, best_p = self.atoms[0][1], self.atoms[0][0]
-        for p, m in self.atoms[1:]:
-            if m > best_m:
-                best_m, best_p = m, p
-        return best_m, best_p
+        i = self.nums.index(max(self.nums))
+        return Fraction(self.nums[i], self.den), self.support[i]
 
     def interval_prob(self, k: int) -> Fraction:
         """P(|X| <= k) for a one-dimensional distribution."""
@@ -129,7 +140,7 @@ class Dist:
             raise DimensionMismatch("interval probabilities need dimension 1")
         if k < 0:
             raise ValueError("interval radius must be >= 0")
-        return sum((m for (x,), m in self.atoms if -k <= x <= k), start=Fraction(0))
+        return Fraction(sum([m for (x,), m in zip(self.support, self.nums) if -k <= x <= k]), self.den)
 
     def is_symmetric(self) -> bool:
         """True when the law is invariant under x -> -x."""
@@ -143,8 +154,8 @@ class Dist:
         """
         if self.dim != 1:
             raise DimensionMismatch("unimodality is defined here for dimension 1")
-        lo, hi = self.atoms[0][0][0], self.atoms[-1][0][0]
-        pmf = [self.atom((x,)) for x in range(lo, hi + 1)]
+        lo, hi = self.support[0][0], self.support[-1][0]
+        pmf = [self._mass.get((x,), 0) for x in range(lo, hi + 1)]
         i = 0
         while i + 1 < len(pmf) and pmf[i] <= pmf[i + 1]:
             i += 1
@@ -165,15 +176,15 @@ class Dist:
 
     def map_points(self, fn: Callable[[Point], PointLike], dim: int | None = None) -> "Dist":
         """Pushforward along a point map; colliding images merge."""
-        mass: dict[Point, Fraction] = {}
-        for p, m in self.atoms:
+        mass: dict[Point, int] = {}
+        for p, m in zip(self.support, self.nums):
             q = as_point(fn(p))
-            mass[q] = mass.get(q, Fraction(0)) + m
+            mass[q] = mass.get(q, 0) + m
         out_dim = len(next(iter(mass))) if dim is None else dim
         for q in mass:
             if len(q) != out_dim:
                 raise DimensionMismatch(f"image point {q} has dim {len(q)}, expected {out_dim}")
-        return _canonical(out_dim, mass)
+        return _canonical(out_dim, mass, self.den)
 
     def negate(self) -> "Dist":
         """Law of -X."""
@@ -196,12 +207,27 @@ class Dist:
         """Law of X + Y for independent X ~ self, Y ~ other."""
         if self.dim != other.dim:
             raise DimensionMismatch(f"cannot convolve dim {self.dim} with dim {other.dim}")
-        mass: dict[Point, Fraction] = {}
-        for p, mp in self.atoms:
-            for q, mq in other.atoms:
-                r = tuple(a + b for a, b in zip(p, q))
-                mass[r] = mass.get(r, Fraction(0)) + mp * mq
-        return _canonical(self.dim, mass)
+        # Each point becomes one int in balanced base `radix`, first coordinate
+        # most significant; the radix leaves room for every coordinate of a
+        # sum, so adding two keys adds the points without carries.
+        half = 2 * max([abs(c) for d in (self, other) for p in d.support for c in p])
+        radix = 2 * half + 1
+        left, right = ([(reduce(lambda k, c: k * radix + c, p, 0), m) for p, m in zip(d.support, d.nums)]
+                       for d in (self, other))
+        mass: dict[int, int] = {}
+        get = mass.get
+        for kp, mp in left:
+            for kq, mq in right:
+                k = kp + kq
+                mass[k] = get(k, 0) + mp * mq
+        points: dict[Point, int] = {}
+        for k, m in mass.items():
+            coords = []
+            for _ in range(self.dim):
+                coords.append((k + half) % radix - half)
+                k = (k - coords[-1]) // radix
+            points[tuple(coords[::-1])] = m
+        return _canonical(self.dim, points, self.den * other.den)
 
     # -- serialization -------------------------------------------------
 

@@ -72,7 +72,7 @@ class QTooLarge(ValueError):
 
 
 class TooLarge(ValueError):
-    """A search space exceeds the configured enumeration cap."""
+    """A search space or an exact law exceeds its work cap."""
 
 
 class AssertionFailed(RuntimeError):
@@ -120,6 +120,16 @@ def _require_p(q):
     if not 0 < q <= Fraction(1, 2):
         raise ParamOutOfRange(f"success mass must lie in (0, 1/2], got {q}")
     return q
+
+
+MAX_ATOMS = 4096
+
+
+def _require_support(summands, width):
+    """Cap an exact sum of iid summands by its predicted support, summands * width."""
+    atoms = summands * width
+    if atoms > MAX_ATOMS:
+        raise TooLarge(f"{summands} summands of {width} atoms predict {atoms} atoms, above the cap {MAX_ATOMS}")
 
 
 def _require_common_dim(dists, noun):

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .dist import Dist, PointLike, RationalLike, as_fraction, as_point
+from .dist import Dist, PointLike, RationalLike, _canonical, as_fraction, as_point
 from .errors import ParamOutOfRange, RestPointInSupport, WrongSupportSize, _require_alpha, _require_p
 
 
@@ -68,15 +68,17 @@ def bernoulli(p: RationalLike) -> Dist:
 
 
 def binomial(n: int, p: RationalLike) -> Dist:
-    """Binomial law via the exact closed-form pmf; n = 0 is the point mass at 0."""
+    """Binomial law via the exact closed-form pmf; n = 0 is the point mass at 0.
+
+    With p = a/b the mass at k is C(n, k) a^k (b - a)^(n - k) / b^n.
+    """
     q = as_fraction(p)
     if n < 0:
         raise ParamOutOfRange(f"trial count must be >= 0, got {n}")
     if not 0 < q <= 1:
         raise ParamOutOfRange(f"success mass must lie in (0, 1], got {q}")
-    return Dist.from_entries(
-        (k, math.comb(n, k) * q**k * (1 - q) ** (n - k)) for k in range(n + 1)
-    )
+    a, b = q.numerator, q.denominator
+    return _canonical(1, {(k,): math.comb(n, k) * a**k * (b - a) ** (n - k) for k in range(n + 1)}, b**n)
 
 
 def alternating_bernoulli(n: int, p: RationalLike) -> Dist:

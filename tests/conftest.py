@@ -22,7 +22,9 @@ def fractions_in_unit(draw, max_den: int = 30) -> Fraction:
 
 
 @st.composite
-def dists(draw, dim: int | None = None, max_support: int = 4, coord_bound: int = 4) -> Dist:
+def dists(draw, dim: int | None = None, max_support: int = 4, coord_bound: int = 4, coprime: bool = False) -> Dist:
+    """A law on distinct points; its masses share one denominator, or with
+    `coprime` each is cut from the rest by its own fraction (stick breaking)."""
     d = dim if dim is not None else draw(st.integers(1, 2))
     count = draw(st.integers(1, max_support))
     points = draw(
@@ -33,9 +35,25 @@ def dists(draw, dim: int | None = None, max_support: int = 4, coord_bound: int =
             unique=True,
         )
     )
+    if coprime:
+        masses, rest = [], Fraction(1)
+        for _ in range(count - 1):
+            masses.append(rest * draw(fractions_in_unit()))
+            rest -= masses[-1]
+        return Dist.from_entries(zip(points, masses + [rest]))
     weights = [draw(st.integers(1, 9)) for _ in range(count)]
     total = sum(weights)
     return Dist.from_entries((p, Fraction(w, total)) for p, w in zip(points, weights))
+
+
+def fraction_convolve(a: Dist, b: Dist) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    """The plain Fraction convolution over a point dict, in canonical atom order."""
+    mass: dict[tuple[int, ...], Fraction] = {}
+    for p, mp in a.atoms:
+        for q, mq in b.atoms:
+            r = tuple(x + y for x, y in zip(p, q))
+            mass[r] = mass.get(r, Fraction(0)) + mp * mq
+    return tuple(sorted((p, m) for p, m in mass.items() if m != 0))
 
 
 def brute_weighted_law(weights, components) -> dict[tuple[int, ...], Fraction]:

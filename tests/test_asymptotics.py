@@ -17,7 +17,7 @@ from anticonc import (
 )
 from anticonc.asymptotics import local_limit_exact
 from anticonc.dist import convolve_all, self_convolve
-from anticonc.errors import ParamOutOfRange
+from anticonc.errors import ParamOutOfRange, TooLarge
 from anticonc.families import quasi_uniform
 
 
@@ -183,3 +183,14 @@ class TestOddTailRatios:
     def test_domain(self):
         with pytest.raises(ParamOutOfRange):
             odd_tail_ratios(1, F(1, 2))
+
+
+@pytest.mark.parametrize("exact, args, atoms", [
+    (local_limit_exact, (1366, F(1, 3)), 4098),
+    (alternating_zero_exact, (2049, F(1, 3)), 4098),
+    (small_dev_ratio_exact, (1025, F(1, 3), 1), 4100),
+    (odd_tail_ratios, (1024, F(1, 3)), 4098),
+])
+def test_exact_sides_are_capped_by_their_predicted_support(exact, args, atoms):
+    with pytest.raises(TooLarge, match=f"predict {atoms} atoms"):
+        exact(*args)

@@ -321,6 +321,8 @@ MALFORMED = [
     (None, "check theorem2 --trials 1 --alpha 0"),
     (None, "check gabriel --trials -2"),
     (None, "check monotone --trials 0"),
+    (None, "asym corollary2 --n 100000 --alpha 1/3"),
+    (None, "asym tnzero --n 5000 --p 1/3"),
 ]
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction as F
 from functools import reduce
 
@@ -18,7 +19,7 @@ from anticonc import (
 )
 from anticonc.errors import DimensionMismatch, MassNotOne, NegativeMass, ZeroWeight
 
-from conftest import brute_weighted_law, dists
+from conftest import brute_weighted_law, dists, fraction_convolve
 
 
 class TestConstruction:
@@ -225,3 +226,48 @@ def test_all_ones_weighted_sum_is_iterated_convolution(d, n):
 @given(dists(coord_bound=1), st.integers(0, 8))
 def test_self_convolve_is_the_iterated_product(d, n):
     assert self_convolve(d, n) == reduce(Dist.convolve, [d] * n, delta((0,) * d.dim))
+
+
+def law_pairs(dim):
+    laws = st.one_of(dists(dim=dim), dists(dim=dim, coprime=True))
+    return st.tuples(laws, laws)
+
+
+@given(st.integers(1, 2).flatmap(law_pairs))
+def test_convolve_matches_the_fraction_reference(pair):
+    a, b = pair
+    atoms = a.convolve(b).atoms
+    assert atoms == fraction_convolve(a, b)
+    assert dict(atoms) == brute_weighted_law([1, 1], [a, b])
+
+
+class TestCanonicalForm:
+    def test_every_route_reaches_one_form(self):
+        b = bernoulli(F(1, 2))
+        routes = [
+            Dist.from_entries([(0, "2/8"), (1, "3/6"), (2, "5/20")]),
+            b.convolve(b),
+            Dist.from_entries([(0, "3/12"), (2, "1/4"), (1, "1/2")]).negate().negate(),
+            # merging images leaves numerators (2, 4, 2) over 8 to reduce
+            uniform_on(range(8)).map_points(lambda p: ((p[0] // 2 + 1) // 2,)),
+        ]
+        assert all(d == routes[0] and hash(d) == hash(routes[0]) for d in routes)
+        assert (routes[0].nums, routes[0].den) == ((1, 2, 1), 4)
+
+    def test_mass_not_one_carries_the_exact_deficit(self):
+        with pytest.raises(MassNotOne) as info:
+            Dist.from_entries([(0, "1/3"), (1, "2/9")])
+        assert info.value.deficit == F(4, 9)
+        with pytest.raises(MassNotOne) as info:
+            Dist.from_entries([(0, "5/6"), (1, "1/2")])
+        assert info.value.deficit == F(-1, 3)
+
+
+@given(dists(coprime=True), st.integers(2, 6))
+def test_stored_form_is_reduced_and_unique(d, k):
+    assert math.gcd(d.den, *d.nums) == 1 and all(m > 0 for m in d.nums)
+    assert list(d.support) == sorted(d.support)
+    unreduced = Dist.from_entries((p, f"{m.numerator * k}/{m.denominator * k}") for p, m in d.atoms)
+    for other in (unreduced, d.negate().negate(), d.convolve(delta((0,) * d.dim))):
+        assert other == d and hash(other) == hash(d)
+        assert (other.support, other.nums, other.den) == (d.support, d.nums, d.den)
