@@ -44,7 +44,6 @@ def small_dev_ratio_exact(n: int, p: RationalLike, k: int) -> Fraction:
     _require_at_least("n", n, 1)
     _require_at_least("k", k, 0)
     q = _require_p(as_fraction(p))
-    _require_support(2 * n, 2)
     d = alternating_bernoulli(2 * n, q)
     return d.atom(k) / d.atom(0)
 
@@ -60,7 +59,6 @@ def small_dev_ratio_approx(n: int, p: RationalLike, k: int) -> float:
 def alternating_zero_exact(n: int, p: RationalLike) -> Fraction:
     """P(D = 0) for D the alternating sum of n Bernoulli(p)."""
     q = _require_p(as_fraction(p))
-    _require_support(n, 2)
     return alternating_bernoulli(n, q).atom(0)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -66,6 +67,11 @@ def _load_dists(path: str) -> list[Dist]:
     return [Dist.from_json_obj(entry) for entry in (obj if isinstance(obj, list) else [obj])]
 
 
+def _load_dist(path: str) -> Dist:
+    (dist,) = _load_dists(path)
+    return dist
+
+
 def _load_seqs(path: str) -> list[CenteredSeq]:
     obj = _load_json(path)
     if not (isinstance(obj, list) and all(isinstance(row, list) for row in obj)):
@@ -73,7 +79,24 @@ def _load_seqs(path: str) -> list[CenteredSeq]:
     return [CenteredSeq.from_values(row) for row in obj]
 
 
+def _seq(args) -> CenteredSeq:
+    if args.values is not None:
+        return CenteredSeq.from_values(args.values.split(","))
+    if args.infile is not None:
+        (seq,) = _load_seqs(args.infile)
+        return seq
+    raise UsageError("give --values or --in")
+
+
 # -- output -----------------------------------------------------------------
+
+
+class _Rows(NamedTuple):
+    """A CSV table; under --format json, `whole` when given, else one object per row."""
+
+    header: Sequence[str]
+    rows: Sequence[Sequence]
+    whole: object = None
 
 
 def _jsonable(value):
@@ -92,29 +115,20 @@ def _jsonable(value):
     return value
 
 
-def _write_text(args, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(text)
+def _emit(args, result) -> None:
+    """Write a command's result as JSON, or as CSV for rows under --format csv, to --out or stdout."""
+    if isinstance(result, _Rows) and args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([result.header, *result.rows])
+        text = buf.getvalue()
+    else:
+        if isinstance(result, _Rows):
+            result = [dict(zip(result.header, row)) for row in result.rows] if result.whole is None else result.whole
+        text = json.dumps(_jsonable(result), indent=2) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_json(args, payload) -> None:
-    _write_text(args, json.dumps(_jsonable(payload), indent=2) + "\n")
-
-
-def _emit_rows(args, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    if getattr(args, "format", "csv") == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        _emit_json(args, payload)
-        return
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    _write_text(args, buf.getvalue())
 
 
 def _dump_witness(args, failure: AssertionFailed) -> str:
@@ -122,49 +136,6 @@ def _dump_witness(args, failure: AssertionFailed) -> str:
     payload = {"error": str(failure), "witness": _jsonable(failure.witness)}
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
     return path
-
-
-# -- dist / family / rearrange ----------------------------------------------
-
-
-def _cmd_dist_conv(args) -> None:
-    dists = _load_dists(args.infile)
-    _emit_json(args, convolve_all(dists).to_json_obj())
-
-
-def _cmd_dist_atom(args) -> None:
-    (dist,) = _load_dists(args.infile)
-    x = _parse_point(args.x)
-    _emit_json(args, {"x": list(x), "mass": dist.atom(x)})
-
-
-def _cmd_dist_q(args) -> None:
-    (dist,) = _load_dists(args.infile)
-    value, argmax = dist.concentration()
-    _emit_json(args, {"value": value, "argmax": list(argmax)})
-
-
-def _cmd_family_ualpha(args) -> None:
-    _emit_json(args, quasi_uniform(args.alpha))
-
-
-def _cmd_family_binom(args) -> None:
-    _emit_json(args, binomial(args.n, args.p))
-
-
-def _cmd_family_tn(args) -> None:
-    _emit_json(args, alternating_bernoulli(args.n, args.p))
-
-
-def _cmd_rearrange(args) -> None:
-    if args.values is not None:
-        seq = CenteredSeq.from_values(args.values.split(","))
-    elif args.infile is not None:
-        (seq,) = _load_seqs(args.infile)
-    else:
-        raise UsageError("give --values or --in")
-    op = {"left": rearrange_left, "right": rearrange_right, "sym": rearrange_symmetric}[args.mode]
-    _emit_json(args, op(seq))
 
 
 # -- check ------------------------------------------------------------------
@@ -292,8 +263,8 @@ CHECKS = {
 }
 
 
-def _cmd_check(args) -> None:
-    check = CHECKS[args.subcommand]
+def _run_check(name: str, args) -> dict:
+    check = CHECKS[name]
     if args.trials is not None:
         _require_at_least("trials", args.trials, 1)
         rng = random.Random(args.seed)
@@ -309,23 +280,35 @@ def _cmd_check(args) -> None:
         report = check.fixed(args)
     else:
         raise UsageError("give --in or --trials")
-    _emit_json(args, {**report, "holds": True})
+    return {**report, "holds": True}
 
 
-# -- decompose ---------------------------------------------------------------
+# -- commands ----------------------------------------------------------------
+#
+# One entry per leaf command, keyed by its argv path.  run(args) returns the
+# payload that _emit writes as JSON, or _Rows for a command that emits CSV;
+# only those (rows=True) take --format.  Runners look library functions up by
+# module-global name at call time, so patched names apply.
 
 
-def _cmd_decompose(args) -> None:
-    (dist,) = _load_dists(args.infile)
+def _dist_atom(args) -> dict:
+    dist = _load_dist(args.infile)
+    x = _parse_point(args.x)
+    return {"x": x, "mass": dist.atom(x)}
+
+
+def _decompose(args) -> dict:
     alpha = as_fraction(args.alpha)
-    result = extreme_decompose(dist, alpha)
+    result = extreme_decompose(_load_dist(args.infile), alpha)
     kind = "extremal" if isinstance(result, Extremal) else "mixture"
-    _emit_json(args, {"kind": kind, "alpha": alpha, **vars(result)})
+    return {"kind": kind, "alpha": alpha, **vars(result)}
 
-
-# -- asym --------------------------------------------------------------------
 
 ASYM_HEADER = ("quantity", "n", "param", "exact", "asym", "residual", "scaled_residual")
+
+
+def _asym(*rows) -> _Rows:
+    return _Rows(ASYM_HEADER, rows)
 
 
 def _asym_row(quantity: str, n: int, param: str, exact: Fraction, approx: float, scale: float, relative: bool = False):
@@ -335,227 +318,174 @@ def _asym_row(quantity: str, n: int, param: str, exact: Fraction, approx: float,
     return (quantity, n, param, format_fraction(exact), repr(approx), repr(residual), repr(residual * scale))
 
 
-def _cmd_asym_corollary2(args) -> None:
+def _asym_corollary2(args) -> _Rows:
     alpha = as_fraction(args.alpha)
-    n = args.n
-    bound = asymptotics.local_limit_bound(n, alpha)
-    exact = asymptotics.local_limit_exact(n, alpha)
+    bound = asymptotics.local_limit_bound(args.n, alpha)
+    exact = asymptotics.local_limit_exact(args.n, alpha)
     residual = abs(float(exact) - bound)
-    row = ("local_limit_bound", n, format_fraction(alpha), format_fraction(exact),
-           repr(bound), repr(residual), repr(residual / bound))
-    _emit_rows(args, ASYM_HEADER, [row])
+    return _asym(("local_limit_bound", args.n, format_fraction(alpha), format_fraction(exact),
+                  repr(bound), repr(residual), repr(residual / bound)))
 
 
-def _cmd_asym_smalldev(args) -> None:
+def _asym_smalldev(args) -> _Rows:
     p = as_fraction(args.p)
     exact = asymptotics.small_dev_ratio_exact(args.n, p, args.k)
     approx = asymptotics.small_dev_ratio_approx(args.n, p, args.k)
-    row = _asym_row("small_dev_ratio", args.n, f"{format_fraction(p)};k={args.k}", exact, approx, args.n)
-    _emit_rows(args, ASYM_HEADER, [row])
+    return _asym(_asym_row("small_dev_ratio", args.n, f"{format_fraction(p)};k={args.k}", exact, approx, args.n))
 
 
-def _cmd_asym_tnzero(args) -> None:
+def _asym_tnzero(args) -> _Rows:
     p = as_fraction(args.p)
     exact = asymptotics.alternating_zero_exact(args.n, p)
     approx = asymptotics.alternating_zero_asym(args.n, p)
     scale = args.n**2 if args.n % 2 == 0 else args.n
-    row = _asym_row("alternating_zero", args.n, format_fraction(p), exact, approx, scale)
-    _emit_rows(args, ASYM_HEADER, [row])
+    return _asym(_asym_row("alternating_zero", args.n, format_fraction(p), exact, approx, scale))
 
 
-def _cmd_asym_wagner(args) -> None:
+def _asym_wagner(args) -> _Rows:
     b, c = as_fraction(args.b), as_fraction(args.c)
     approx = asymptotics.middle_coeff_asym(args.n, b, c)  # checks the float range before the exact powering
     exact = asymptotics.middle_coeff_exact(args.n, b, c)
     param = f"b={format_fraction(b)};c={format_fraction(c)}"
-    row = _asym_row("middle_coefficient", args.n, param, exact, approx, args.n**2, relative=True)
-    _emit_rows(args, ASYM_HEADER, [row])
+    return _asym(_asym_row("middle_coefficient", args.n, param, exact, approx, args.n**2, relative=True))
 
 
-def _cmd_asym_largeodd(args) -> None:
+def _asym_largeodd(args) -> _Rows:
     p = as_fraction(args.p)
     ratios = asymptotics.odd_tail_ratios(args.m, p)
-    rows = [
+    return _asym(
         _asym_row("odd_tail_double_pair", ratios.n_eff, format_fraction(p),
                   ratios.exact_double_pair, ratios.approx_double_pair, ratios.n_eff),
         _asym_row("odd_tail_triple", ratios.n_eff, format_fraction(p),
                   ratios.exact_triple, ratios.approx_triple, ratios.n_eff),
-    ]
-    _emit_rows(args, ASYM_HEADER, rows)
+    )
 
 
-# -- scan --------------------------------------------------------------------
-
-
-def _cmd_scan_kphase(args) -> None:
-    grid = search.default_p_grid(args.grid)
-    diagram = search.k_phase_scan(args.n, grid)
-    if getattr(args, "format", "csv") == "json":
-        _emit_json(args, diagram)
-        return
+def _scan_kphase(args) -> _Rows:
+    diagram = search.k_phase_scan(args.n, search.default_p_grid(args.grid))
     rows = [
         (diagram.n, c.p.numerator, c.p.denominator, ";".join(str(k) for k in c.best_ks), format_fraction(c.best_value))
         for c in diagram.cells
     ]
-    _emit_rows(args, ("n", "p_num", "p_den", "best_k_set", "best_value"), rows)
+    return _Rows(("n", "p_num", "p_den", "best_k_set", "best_value"), rows, whole=diagram)
 
 
-def _cmd_scan_signs(args) -> None:
-    (dist,) = _load_dists(args.infile)
+def _scan_signs(args) -> dict:
+    dist = _load_dist(args.infile)
     x = _parse_point(args.x) if args.x is not None else None
     value, signs = search.sign_vector_max(dist, args.n, x)
-    payload = {"n": args.n, "value": value, "signs": list(signs)}
-    if x is not None:
-        payload["x"] = list(x)
-    _emit_json(args, payload)
+    return {"n": args.n, "value": value, "signs": signs, **({} if x is None else {"x": x})}
 
 
-def _cmd_scan_weights(args) -> None:
-    (dist,) = _load_dists(args.infile)
+def _scan_weights(args) -> dict:
+    dist = _load_dist(args.infile)
     grid = [as_fraction(value) for value in args.grid_values.split(",")]
-    result = search.weight_grid_search(dist, args.n, grid, cap=args.cap)
-    _emit_json(args, {"n": args.n, "grid": grid, **vars(result)})
+    return {"n": args.n, "grid": grid, **vars(search.weight_grid_search(dist, args.n, grid, cap=args.cap))}
 
 
-# -- parser ------------------------------------------------------------------
+class _Command(NamedTuple):
+    help: str
+    flags: tuple[tuple[str, dict], ...]
+    run: Callable[[argparse.Namespace], object]
+    rows: bool = False
 
 
-def _add_io(parser, default_format="json"):
-    parser.add_argument("--out", help="write output here instead of stdout")
-    parser.add_argument("--format", choices=("json", "csv"), default=default_format)
+def _required(flag: str, **spec) -> tuple[str, dict]:
+    return (flag, {"required": True, **spec})
+
+
+_IN = _required("--in", dest="infile")
+_N = _required("--n", type=int)
+_P = _required("--p")
+_ALPHA = _required("--alpha")
+_OUT = ("--out", {"help": "write output here instead of stdout"})
+_FORMAT = ("--format", {"choices": ("json", "csv"), "default": "csv"})
+_REARRANGE = (("--values", {"help": "comma separated rationals, odd count"}),
+              ("--in", {"dest": "infile", "help": "JSON array holding one sequence"}))
+_CHECK_IO = (
+    ("--in", {"dest": "infile", "help": "JSON input for a fixed instance"}),
+    ("--trials", {"type": int, "help": "run this many seeded random instances"}),
+    ("--seed", {"type": int, "default": 0}),
+    ("--witness", {"help": "path for the violation witness (default witness.json)"}),
+)
+
+_GROUPS = {
+    "dist": "operate on serialized distributions",
+    "family": "construct a named family member",
+    "rearrange": "rearrange a centered sequence",
+    "check": "verify an inequality on an instance or a seeded batch",
+    "asym": "exact value next to its float expansion",
+    "scan": "searches over splits, signs and weights",
+}
+
+COMMANDS = {
+    ("dist", "conv"): _Command(
+        "convolve the distributions in a JSON array", (_IN,), lambda args: convolve_all(_load_dists(args.infile))),
+    ("dist", "atom"): _Command(
+        "mass at a point", (_IN, _required("--x", help="lattice point, comma separated")), _dist_atom),
+    ("dist", "q"): _Command(
+        "largest atom and its location", (_IN,),
+        lambda args: dict(zip(("value", "argmax"), _load_dist(args.infile).concentration()))),
+    ("family", "ualpha"): _Command(
+        "flattest law with largest atom alpha", (_ALPHA,), lambda args: quasi_uniform(args.alpha)),
+    ("family", "binom"): _Command("binomial law", (_N, _P), lambda args: binomial(args.n, args.p)),
+    ("family", "tn"): _Command(
+        "alternating sum of n Bernoulli(p)", (_N, _P), lambda args: alternating_bernoulli(args.n, args.p)),
+    ("rearrange", "left"): _Command(
+        "largest at 0, negative side first", _REARRANGE, lambda args: rearrange_left(_seq(args))),
+    ("rearrange", "right"): _Command(
+        "largest at 0, positive side first", _REARRANGE, lambda args: rearrange_right(_seq(args))),
+    ("rearrange", "sym"): _Command(
+        "symmetric decreasing, when possible", _REARRANGE, lambda args: rearrange_symmetric(_seq(args))),
+    **{("check", name): _Command(check.help, check.flags + _CHECK_IO, functools.partial(_run_check, name))
+       for name, check in CHECKS.items()},
+    ("decompose",): _Command("peel an extreme point of a concentration cap", (_IN, _ALPHA), _decompose),
+    ("asym", "corollary2"): _Command(
+        "alternating quasi-uniform zero mass versus first-order ceiling", (_N, _ALPHA), _asym_corollary2, rows=True),
+    ("asym", "smalldev"): _Command(
+        "small deviation ratio of an alternating pair sum", (_N, _P, _required("--k", type=int)), _asym_smalldev,
+        rows=True),
+    ("asym", "tnzero"): _Command("alternating zero mass versus two-term expansion", (_N, _P), _asym_tnzero, rows=True),
+    ("asym", "wagner"): _Command(
+        "central coefficient of a quadratic power versus expansion", (_N, _required("--b"), _required("--c")),
+        _asym_wagner, rows=True),
+    ("asym", "largeodd"): _Command(
+        "odd tail absorption ratios versus expansions", (_required("--m", type=int), _P), _asym_largeodd, rows=True),
+    ("scan", "kphase"): _Command(
+        "best sign split as a function of p",
+        (_N, ("--grid", {"type": int, "default": 512, "help": "grid size N for p = i/(2N), i = 1..N"})),
+        _scan_kphase, rows=True),
+    ("scan", "signs"): _Command(
+        "best sign vector for n iid summands",
+        (_IN, _N, ("--x", {"help": "fixed target point; default maximizes over targets"})), _scan_signs),
+    ("scan", "weights"): _Command(
+        "best weight tuple from a grid for n iid summands",
+        (_IN, _N,
+         ("--grid-values", {"default": "-3,-2,-1,1,2,3",
+                            "help": "comma separated nonzero rationals; use --grid-values=-2,... for a leading minus"}),
+         ("--cap", {"type": int, "default": 10**7, "help": "enumeration cap on grid^n"})),
+        _scan_weights),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="anticonc", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    top = parser.add_subparsers(dest="command", required=True)
-
-    p_dist = top.add_parser("dist", help="operate on serialized distributions")
-    sub = p_dist.add_subparsers(dest="subcommand", required=True)
-    p = sub.add_parser("conv", help="convolve the distributions in a JSON array")
-    p.add_argument("--in", dest="infile", required=True)
-    _add_io(p)
-    p.set_defaults(handler=_cmd_dist_conv)
-    p = sub.add_parser("atom", help="mass at a point")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--x", required=True, help="lattice point, comma separated")
-    _add_io(p)
-    p.set_defaults(handler=_cmd_dist_atom)
-    p = sub.add_parser("q", help="largest atom and its location")
-    p.add_argument("--in", dest="infile", required=True)
-    _add_io(p)
-    p.set_defaults(handler=_cmd_dist_q)
-
-    p_family = top.add_parser("family", help="construct a named family member")
-    sub = p_family.add_subparsers(dest="subcommand", required=True)
-    p = sub.add_parser("ualpha", help="flattest law with largest atom alpha")
-    p.add_argument("--alpha", required=True)
-    _add_io(p)
-    p.set_defaults(handler=_cmd_family_ualpha)
-    p = sub.add_parser("binom", help="binomial law")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", required=True)
-    _add_io(p)
-    p.set_defaults(handler=_cmd_family_binom)
-    p = sub.add_parser("tn", help="alternating sum of n Bernoulli(p)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", required=True)
-    _add_io(p)
-    p.set_defaults(handler=_cmd_family_tn)
-
-    p_re = top.add_parser("rearrange", help="rearrange a centered sequence")
-    sub = p_re.add_subparsers(dest="mode", required=True)
-    for mode, blurb in (("left", "largest at 0, negative side first"),
-                        ("right", "largest at 0, positive side first"),
-                        ("sym", "symmetric decreasing, when possible")):
-        p = sub.add_parser(mode, help=blurb)
-        p.add_argument("--values", help="comma separated rationals, odd count")
-        p.add_argument("--in", dest="infile", help="JSON array holding one sequence")
-        _add_io(p)
-        p.set_defaults(handler=_cmd_rearrange, mode=mode)
-
-    p_check = top.add_parser("check", help="verify an inequality on an instance or a seeded batch")
-    sub = p_check.add_subparsers(dest="subcommand", required=True)
-    for name, check in CHECKS.items():
-        p = sub.add_parser(name, help=check.help)
-        for flag, spec in check.flags:
-            p.add_argument(flag, **spec)
-        p.add_argument("--in", dest="infile", help="JSON input for a fixed instance")
-        p.add_argument("--trials", type=int, help="run this many seeded random instances")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--witness", help="path for the violation witness (default witness.json)")
-        _add_io(p)
-        p.set_defaults(handler=_cmd_check)
-
-    p_dec = top.add_parser("decompose", help="peel an extreme point of a concentration cap")
-    p_dec.add_argument("--in", dest="infile", required=True)
-    p_dec.add_argument("--alpha", required=True)
-    _add_io(p_dec)
-    p_dec.set_defaults(handler=_cmd_decompose)
-
-    p_asym = top.add_parser("asym", help="exact value next to its float expansion")
-    sub = p_asym.add_subparsers(dest="subcommand", required=True)
-    p = sub.add_parser("corollary2", help="alternating quasi-uniform zero mass versus first-order ceiling")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", required=True)
-    _add_io(p, default_format="csv")
-    p.set_defaults(handler=_cmd_asym_corollary2)
-    p = sub.add_parser("smalldev", help="small deviation ratio of an alternating pair sum")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_io(p, default_format="csv")
-    p.set_defaults(handler=_cmd_asym_smalldev)
-    p = sub.add_parser("tnzero", help="alternating zero mass versus two-term expansion")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", required=True)
-    _add_io(p, default_format="csv")
-    p.set_defaults(handler=_cmd_asym_tnzero)
-    p = sub.add_parser("wagner", help="central coefficient of a quadratic power versus expansion")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--c", required=True)
-    _add_io(p, default_format="csv")
-    p.set_defaults(handler=_cmd_asym_wagner)
-    p = sub.add_parser("largeodd", help="odd tail absorption ratios versus expansions")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--p", required=True)
-    _add_io(p, default_format="csv")
-    p.set_defaults(handler=_cmd_asym_largeodd)
-
-    p_scan = top.add_parser("scan", help="searches over splits, signs and weights")
-    sub = p_scan.add_subparsers(dest="subcommand", required=True)
-    p = sub.add_parser("kphase", help="best sign split as a function of p")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--grid", type=int, default=512, help="grid size N for p = i/(2N), i = 1..N")
-    _add_io(p, default_format="csv")
-    p.set_defaults(handler=_cmd_scan_kphase)
-    p = sub.add_parser("signs", help="best sign vector for n iid summands")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--x", help="fixed target point; default maximizes over targets")
-    _add_io(p)
-    p.set_defaults(handler=_cmd_scan_signs)
-    p = sub.add_parser("weights", help="best weight tuple from a grid for n iid summands")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--grid-values", default="-3,-2,-1,1,2,3",
-                   help="comma separated nonzero rationals; use --grid-values=-2,... for a leading minus")
-    p.add_argument("--cap", type=int, default=10**7, help="enumeration cap on grid^n")
-    _add_io(p)
-    p.set_defaults(handler=_cmd_scan_weights)
-
+    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, command in COMMANDS.items():
+        if path[:-1] not in subparsers:
+            group = subparsers[()].add_parser(path[0], help=_GROUPS[path[0]])
+            subparsers[path[:-1]] = group.add_subparsers(dest="subcommand", required=True)
+        leaf = subparsers[path[:-1]].add_parser(path[-1], help=command.help)
+        for flag, spec in command.flags + ((_OUT, _FORMAT) if command.rows else (_OUT,)):
+            leaf.add_argument(flag, **spec)
+        leaf.set_defaults(run=command.run)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        args.handler(args)
+        args = build_parser().parse_args(argv)
+        _emit(args, args.run(args))
     except AssertionFailed as exc:
         path = _dump_witness(args, exc)
         print(f"violated: {exc} (witness written to {path})", file=sys.stderr)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .dist import Dist, PointLike, RationalLike, _canonical, as_fraction, as_point
-from .errors import ParamOutOfRange, RestPointInSupport, WrongSupportSize, _require_alpha, _require_p
+from .errors import ParamOutOfRange, RestPointInSupport, WrongSupportSize, _require_alpha, _require_p, _require_support
 
 
 def quasi_uniform(alpha: RationalLike) -> Dist:
@@ -77,6 +77,7 @@ def binomial(n: int, p: RationalLike) -> Dist:
         raise ParamOutOfRange(f"trial count must be >= 0, got {n}")
     if not 0 < q <= 1:
         raise ParamOutOfRange(f"success mass must lie in (0, 1], got {q}")
+    _require_support(n, 2)
     a, b = q.numerator, q.denominator
     return _canonical(1, {(k,): math.comb(n, k) * a**k * (b - a) ** (n - k) for k in range(n + 1)}, b**n)
 
@@ -89,7 +90,13 @@ def alternating_bernoulli(n: int, p: RationalLike) -> Dist:
     """
     if n < 1:
         raise ParamOutOfRange(f"need at least one summand, got {n}")
+    _require_support(n, 2)
+    return signed_binomial_diff(n, n // 2, p)
+
+
+def signed_binomial_diff(n: int, k: int, p: RationalLike) -> Dist:
+    """Law of B - B' with B ~ Binomial(n - k, p), B' ~ Binomial(k, p) independent."""
+    if not 0 <= k <= n:
+        raise ParamOutOfRange(f"need 0 <= k <= n, got k={k}, n={n}")
     q = _require_p(as_fraction(p))
-    plus = binomial((n + 1) // 2, q)
-    minus = binomial(n // 2, q).negate()
-    return plus.convolve(minus)
+    return binomial(n - k, q).convolve(binomial(k, q).negate())

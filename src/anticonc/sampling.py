@@ -37,9 +37,11 @@ def random_capped_dist(rng: random.Random, alpha, span: int = 6, parts: int = 3)
 
     Built as a convex combination of extreme points of the cap (each a flat
     measure at level alpha plus remainder), so the cap holds by convexity.
+    The points come from -span..span, widened to hold floor(1/alpha) + 1.
     """
     a = _require_alpha(as_fraction(alpha))
     k = math.floor(1 / a)
+    span = max(span, (k + 1) // 2)
     entries = []
     for weight in random_masses(rng, rng.randint(1, parts)):
         chosen = rng.sample(range(-span, span + 1), k + 1)

@@ -40,15 +40,7 @@ from .errors import (
     _require_p,
     require_bound,
 )
-from .families import binomial
-
-
-def signed_binomial_diff(n: int, k: int, p: RationalLike) -> Dist:
-    """Law of B - B' with B ~ Binomial(n - k, p), B' ~ Binomial(k, p) independent."""
-    if not 0 <= k <= n:
-        raise ParamOutOfRange(f"need 0 <= k <= n, got k={k}, n={n}")
-    q = _require_p(as_fraction(p))
-    return binomial(n - k, q).convolve(binomial(k, q).negate())
+from .families import signed_binomial_diff
 
 
 @dataclass(frozen=True)
@@ -76,11 +68,10 @@ class KScanResult:
 def optimal_k_scan(n: int, p: RationalLike, *, allow_even: bool = False) -> KScanResult:
     """Scan sign splits k = 0..floor(n/2) of n Bernoulli(p) summands.
 
-    For each k the candidate targets are floor and ceil of the mean
-    (n - 2k) p; the scan verifies on every row that the global mode of the
-    signed difference lies among those two candidates and matches the row
-    value, raising AssertionFailed otherwise.  Smaller k and smaller x win
-    ties.  Even n is rejected unless allow_even is set.
+    Each row takes the global mode of the signed difference (the smallest
+    point of largest mass) and verifies that it lies in the floor/ceil window
+    of the mean (n - 2k) p, raising AssertionFailed otherwise.  Smaller k and
+    smaller x win ties.  Even n is rejected unless allow_even is set.
     """
     _require_at_least("n", n, 1)
     if n % 2 == 0 and not allow_even:
@@ -88,17 +79,14 @@ def optimal_k_scan(n: int, p: RationalLike, *, allow_even: bool = False) -> KSca
     q = _require_p(as_fraction(p))
     rows = []
     for k in range(n // 2 + 1):
-        d = signed_binomial_diff(n, k, q)
+        value, (x,) = signed_binomial_diff(n, k, q).concentration()
         mean = (n - 2 * k) * q
         lo, hi = math.floor(mean), math.ceil(mean)
         candidates = (lo,) if lo == hi else (lo, hi)
-        x = max(candidates, key=lambda c: (d.atom(c), -c))
-        value = d.atom(x)
-        mode_value, mode_point = d.concentration()
-        if mode_point[0] not in candidates or mode_value != value:
+        if x not in candidates:
             raise AssertionFailed(
                 "mode left the floor/ceil window of the mean",
-                witness={"n": n, "k": k, "p": q, "mode": mode_point[0], "candidates": candidates},
+                witness={"n": n, "k": k, "p": q, "mode": x, "candidates": candidates},
             )
         rows.append(KRow(k, x, value))
     best = max(rows, key=lambda r: (r.value, -r.k))

@@ -125,6 +125,12 @@ class TestCheckCommands:
             report = json.loads(out)
             assert report == {"trials": 10, "seed": 3, "violations": 0, "holds": True}
 
+    @pytest.mark.parametrize("alpha", ["1/12", "1/13", "1/20"])
+    def test_theorem2_trials_at_small_levels(self, capsys, alpha):
+        code, out, _ = run(capsys, "check", "theorem2", "--trials", "2", "--alpha", alpha)
+        assert code == 0
+        assert json.loads(out)["holds"] is True
+
     def test_missing_inputs_are_usage_errors(self, capsys):
         code, _, err = run(capsys, "check", "balancing")
         assert code == 1
@@ -217,6 +223,20 @@ class TestAsymCommands:
             "26805961160896336682714847273388613239649604896081467688261104718350701156428061655533736747853659"
             "149396505297586264787627/2722258935367507707706996859454145691648"
         )
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("path", cli.COMMANDS)
+    def test_parser_builds_and_takes_format_only_for_rows(self, capsys, path):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*path, "--help"])
+        assert exc.value.code == 0
+        assert ("--format" in capsys.readouterr().out) == cli.COMMANDS[path].rows
+
+    def test_format_is_on_the_asym_commands_and_kphase(self):
+        rows = sorted(path for path, command in cli.COMMANDS.items() if command.rows)
+        assert rows == [("asym", name) for name in ("corollary2", "largeodd", "smalldev", "tnzero", "wagner")] + [
+            ("scan", "kphase")]
 
 
 class TestScanCommands:
@@ -323,6 +343,11 @@ MALFORMED = [
     (None, "check monotone --trials 0"),
     (None, "asym corollary2 --n 100000 --alpha 1/3"),
     (None, "asym tnzero --n 5000 --p 1/3"),
+    (None, "family tn --n 20000 --p 1/3"),
+    (None, "family binom --n 200000 --p 1/3"),
+    # --format is taken only by the commands that emit rows
+    (None, "family binom --n 3 --p 1/3 --format csv"),
+    ('{"dim":1,"atoms":[[[0],"1/2"],[[1],"1/2"]]}', "dist q --in {in} --format json"),
 ]
 
 

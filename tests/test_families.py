@@ -15,7 +15,7 @@ from anticonc import (
     self_convolve,
     weighted_sum,
 )
-from anticonc.errors import AlphaOutOfRange, ParamOutOfRange, RestPointInSupport, WrongSupportSize
+from anticonc.errors import AlphaOutOfRange, ParamOutOfRange, RestPointInSupport, TooLarge, WrongSupportSize
 
 from conftest import fractions_in_unit
 
@@ -152,3 +152,11 @@ class TestAlternating:
             alternating_bernoulli(0, F(1, 2))
         with pytest.raises(ParamOutOfRange):
             alternating_bernoulli(3, F(2, 3))
+
+
+@pytest.mark.parametrize("family", [binomial, alternating_bernoulli])
+def test_bernoulli_sums_are_capped_by_their_predicted_support(family):
+    # n summands of 2 atoms each: 2048 is the largest n under the cap of 4,096 atoms
+    assert len(family(2048, F(1, 3)).support) == 2049
+    with pytest.raises(TooLarge, match="predict 4098 atoms"):
+        family(2049, F(1, 3))

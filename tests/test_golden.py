@@ -2,7 +2,7 @@
 
 Each digest is sha256 over f"{exit code}\\n{stdout}".  The rows cover every
 subcommand, laws with unreduced and coprime masses in one and two
-dimensions, and an error path; a change to the exact kernel or to the
+dimensions, and error paths; a change to the exact kernel or to the
 output format shows here as a changed digest.  `{name}` in a command is the
 path of the input file INPUTS[name].  `asym wagner` is left out: its float
 column comes from libm `pow`, and tests/test_cli.py pins its exact column.
@@ -33,6 +33,7 @@ INPUTS = {
     "seqs": '[["1/5","1/2","3/10"],["1/4","1/2","1/4"],["1/3","1/3","1/3"]]',
     "mixed": '{"dim":1,"atoms":[[[0],"1/2"],[[1],"1/4"],[[2],"1/8"],[[5],"1/8"]]}',
     "short": '{"dim":1,"atoms":[[[0],"1/3"],[[1],"1/3"]]}',
+    "seq": '[["1/5","1/2","3/10"]]',
 }
 
 GOLDEN = {
@@ -78,6 +79,14 @@ GOLDEN = {
         "4afcfae07be6ae0f66a4eab9a1f4d4d89a43058f9643c7114c1d048232f94a3a",
     "rearrange left --values 1/10,1/5,2/5,1/5,1/10":
         "4c4044944a799b1c7e5ebfe94a52b4a26144284fabcffaa997591b48594b02ab",
+    "rearrange right --values 1/5,2/5,1/10,1/2,3/10":
+        "67bcd1616811ff94a678cf6be468b52c090744925530cdf0c5866a85e8228ecf",
+    "rearrange sym --values 1/5,2/5,1/10,1/5,1/10":
+        "4c4044944a799b1c7e5ebfe94a52b4a26144284fabcffaa997591b48594b02ab",
+    "rearrange left --in {seq}":
+        "e2a7d73ab830b113f6e7856f724b37d0bd3e662ab62be79a4bd9ee6c47a166c2",
+    "rearrange sym --values 1/5,1/2,3/10":
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
     "check theorem2 --trials 20 --seed 3":
         "30d730dababa800e156a2d8642628f954c91a53ed13d6ca520102f19c75fd25d",
     "check balancing --trials 20 --seed 3":
@@ -106,6 +115,10 @@ GOLDEN = {
         "4bb52833532ef21c62c7d43a8223f6d2c8275ecac5edb430919c2baa2fc00328",
     "asym largeodd --m 10 --p 1/3":
         "70e003a8cffa7f5cf9dc908b8c9656e45fe26c1b0624acb161ebc83ad9c6083e",
+    "asym tnzero --n 64 --p 1/3 --format json":
+        "c3651a8af5f4584764c1011360117d0952f8071d3c1614b939b1f0836ec20317",
+    "asym largeodd --m 10 --p 1/3 --format json":
+        "c99a96c273d421f8bde6e87ee31a15cef3d254c8e8f76f30dee18dcdc3a04d1b",
 }
 
 

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction as F
 
-from anticonc import is_symmetrizable, peakedness_dominates
+import pytest
+
+from anticonc import Dist, is_symmetrizable, peakedness_dominates
 from anticonc.sampling import (
     random_capped_dist,
     random_centered_seq,
@@ -42,6 +45,30 @@ def test_random_capped_dist_respects_level():
         for _ in range(30):
             d = random_capped_dist(rng, alpha)
             assert d.concentration()[0] <= alpha
+
+
+# One draw from random.Random(7) per level of `check theorem2`, and one at 1/12,
+# where floor(1/alpha) + 1 = 13 points fill the default span -6..6 exactly.
+@pytest.mark.parametrize("alpha, atoms", [
+    (F(1, 3), [(-6, "1/10"), (-5, "1/3"), (-1, "7/30"), (3, "7/30"), (4, "1/10")]),
+    (F(2, 5), [(-6, "3/25"), (-5, "17/50"), (-1, "7/50"), (2, "7/25"), (4, "3/25")]),
+    (F(1, 2), [(-6, "3/20"), (-5, "7/20"), (2, "7/20"), (4, "3/20")]),
+    (F(3, 4), [(-6, "3/40"), (-5, "21/40"), (2, "7/40"), (4, "9/40")]),
+    (F(1, 12), [(-6, "1/12"), (-5, "1/12"), (-4, "1/12"), (-3, "7/120"), (-2, "1/12"), (-1, "1/12"), (0, "1/12"),
+                (1, "1/12"), (2, "1/12"), (3, "1/12"), (4, "1/40"), (5, "1/12"), (6, "1/12")]),
+])
+def test_random_capped_dist_draws_are_pinned(alpha, atoms):
+    assert random_capped_dist(random.Random(7), alpha) == Dist.from_entries(atoms)
+
+
+def test_random_capped_dist_widens_its_span_at_small_levels():
+    rng = random.Random(8)
+    for alpha in (F(1, 13), F(1, 20), F(2, 41), F(1, 1000)):
+        k = math.floor(1 / alpha)
+        d = random_capped_dist(rng, alpha)
+        assert d.concentration()[0] <= alpha
+        assert len(d.support) >= k
+        assert all(abs(x) <= (k + 1) // 2 for (x,) in d.support)
 
 
 def test_random_symmetric_unimodal_shape():
