@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import asymptotics, sampling, search
 from .dist import Dist, as_fraction, convolve_all, format_fraction
-from .errors import AssertionFailed, _require_at_least
+from .errors import AssertionFailed, _require_at_least, _require_scan_work
 from .families import alternating_bernoulli, binomial, quasi_uniform
 from .reduction import Extremal, balancing_bound, extreme_decompose
 from .transforms import CenteredSeq, birnbaum_sides, gabriel_sides, rearrange_left, rearrange_right, rearrange_symmetric
@@ -362,6 +362,7 @@ def _asym_largeodd(args) -> _Rows:
 
 
 def _scan_kphase(args) -> _Rows:
+    _require_scan_work(args.n, args.grid, 2 * args.grid)
     diagram = search.k_phase_scan(args.n, search.default_p_grid(args.grid))
     rows = [
         (diagram.n, c.p.numerator, c.p.denominator, ";".join(str(k) for k in c.best_ks), format_fraction(c.best_value))

@@ -132,6 +132,26 @@ def _require_support(summands, width):
         raise TooLarge(f"{summands} summands of {width} atoms predict {atoms} atoms, above the cap {MAX_ATOMS}")
 
 
+MAX_SCAN_STEPS = 5_000_000
+
+
+def _require_scan_work(n, points, den):
+    """Cap a sign-split scan of n summands at `points` values of p by its predicted work.
+
+    Each p costs a fixed 80 steps plus (n // 2 + 1) rows of n + 1 big-int
+    coefficient updates; an update counts 1 + bits / 4096 steps, where bits =
+    n log2(den) bounds a numerator and `den` is the largest denominator of p.
+    """
+    _require_at_least("n", n, 1)
+    _require_support(n, 2)
+    bits = n * (den - 1).bit_length()
+    steps = points * (80 + (n // 2 + 1) * (n + 1) * (4096 + bits) // 4096)
+    if steps > MAX_SCAN_STEPS:
+        raise TooLarge(
+            f"a scan of n = {n} at {points} values of p (denominators up to {den}) predicts {steps} steps, "
+            f"above the cap {MAX_SCAN_STEPS}")
+
+
 def _require_common_dim(dists, noun):
     """The dimension of a nonempty list of laws; `noun` names them in errors."""
     if not dists:

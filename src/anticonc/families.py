@@ -2,7 +2,9 @@
 
 Everything here is exact.  Closed forms (binomial pmf, quasi-uniform
 variance) are deliberately written without convolutions so the tests can
-cross-check them against the convolution route.
+cross-check them against the convolution route.  In the other direction,
+`signed_binomial_diff` convolves two binomials, and it is the oracle that
+the row ladder of `search.optimal_k_scan` is tested against.
 """
 
 from __future__ import annotations

@@ -38,9 +38,10 @@ from .errors import (
     _require_common_dim,
     _require_even,
     _require_p,
+    _require_scan_work,
+    _require_support,
     require_bound,
 )
-from .families import signed_binomial_diff
 
 
 @dataclass(frozen=True)
@@ -68,18 +69,36 @@ class KScanResult:
 def optimal_k_scan(n: int, p: RationalLike, *, allow_even: bool = False) -> KScanResult:
     """Scan sign splits k = 0..floor(n/2) of n Bernoulli(p) summands.
 
-    Each row takes the global mode of the signed difference (the smallest
-    point of largest mass) and verifies that it lies in the floor/ceil window
-    of the mean (n - 2k) p, raising AssertionFailed otherwise.  Smaller k and
-    smaller x win ties.  Even n is rejected unless allow_even is set.
+    Row k is the law of B - B' with B ~ Binomial(n - k, p) and B' ~
+    Binomial(k, p).  With p = a/b and c = b - a, shifting it by k turns it
+    into the integer polynomial (c + a x)^(n - k) (c x + a)^k over b^n: the
+    coefficient at j is the numerator of the mass at j - k.  Row 0 is the
+    binomial numerators C(n, j) a^j c^(n - j), and row k + 1 is row k times
+    (c x + a), divided exactly by (a x + c), in one synthetic pass.  A scan
+    is O(n^2) big-int steps and no convolutions.
+
+    Each row is still the whole law, so its mode (the smallest point of
+    largest mass) is taken over every point, and the check that it lies in
+    the floor/ceil window of the mean (n - 2k) p stays exhaustive in every
+    cell; a mode outside raises AssertionFailed.  Smaller k and smaller x
+    win ties.  Even n is rejected unless allow_even is set.
     """
     _require_at_least("n", n, 1)
     if n % 2 == 0 and not allow_even:
         raise EvenN(f"scan is defined for odd n, got {n}")
+    _require_support(n, 2)
     q = _require_p(as_fraction(p))
+    a, b = q.numerator, q.denominator
+    c, den = b - a, b**n
+    row = [c**n]  # C(n, j) a^j c^(n - j), each from the last by an exact division
+    for j in range(n):
+        row.append(row[-1] * (n - j) * a // ((j + 1) * c))
     rows = []
     for k in range(n // 2 + 1):
-        value, (x,) = signed_binomial_diff(n, k, q).concentration()
+        if k:
+            row = _next_split(row, a, c)
+        top = max(row)
+        x = row.index(top) - k
         mean = (n - 2 * k) * q
         lo, hi = math.floor(mean), math.ceil(mean)
         candidates = (lo,) if lo == hi else (lo, hi)
@@ -88,9 +107,25 @@ def optimal_k_scan(n: int, p: RationalLike, *, allow_even: bool = False) -> KSca
                 "mode left the floor/ceil window of the mean",
                 witness={"n": n, "k": k, "p": q, "mode": x, "candidates": candidates},
             )
-        rows.append(KRow(k, x, value))
+        rows.append(KRow(k, x, Fraction(top, den)))
     best = max(rows, key=lambda r: (r.value, -r.k))
     return KScanResult(n, q, best.k, best.x, best.value, tuple(rows))
+
+
+def _next_split(row: list[int], a: int, c: int) -> list[int]:
+    """Row times (c x + a), divided by (a x + c): one more summand enters with sign -1.
+
+    The quotient Q of R = P (c x + a) by (a x + c) satisfies
+    c Q[j] = R[j] - a Q[j - 1] = c P[j - 1] + a (P[j] - Q[j - 1]); a and c
+    are coprime, so c divides P[j] - Q[j - 1] and every step is exact.
+    """
+    out = []
+    last_in = last_out = 0
+    for coef in row:
+        last_out = last_in + a * ((coef - last_out) // c)
+        out.append(last_out)
+        last_in = coef
+    return out
 
 
 @dataclass(frozen=True)
@@ -121,6 +156,7 @@ def k_phase_scan(n: int, p_grid: Sequence[RationalLike]) -> PhaseDiagram:
         raise ParamOutOfRange("empty grid")
     if ps[0] <= 0 or ps[-1] > Fraction(1, 2):
         raise ParamOutOfRange("grid values must lie in (0, 1/2]")
+    _require_scan_work(n, len(ps), max(p.denominator for p in ps))
     cells = []
     observed: set[int] = set()
     for p in ps:

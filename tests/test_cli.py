@@ -345,6 +345,9 @@ MALFORMED = [
     (None, "asym tnzero --n 5000 --p 1/3"),
     (None, "family tn --n 20000 --p 1/3"),
     (None, "family binom --n 200000 --p 1/3"),
+    (None, "scan kphase --n 1001 --grid 512"),
+    (None, "scan kphase --n 3 --grid 100000000"),
+    (None, "scan kphase --n 3001 --grid 1"),
     # --format is taken only by the commands that emit rows
     (None, "family binom --n 3 --p 1/3 --format csv"),
     ('{"dim":1,"atoms":[[[0],"1/2"],[[1],"1/2"]]}', "dist q --in {in} --format json"),

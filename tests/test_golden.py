@@ -41,6 +41,12 @@ GOLDEN = {
         "0838ecc8ef096f4e8a5fb4f8067db229bc11de2208ec363c344880e1f6e64e1d",
     "scan kphase --n 9 --grid 16 --format json":
         "99b1ec2ffdb9b2745371b0e5ee61486af41fe3224548daa4de2a32875d15dbbc",
+    "scan kphase --n 101 --grid 64":
+        "4c557c5b0efb9148f01aef5eb18568a9559fab9b418b0db18486c81dbed5d103",
+    "scan kphase --n 201 --grid 16 --format json":
+        "cc14cdd224476e4524b36f1c9645b7495667b4770691d1d88dfbe381a53907fd",
+    "scan kphase --n 4 --grid 4":
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
     "scan signs --in {law2} --n 3":
         "19b17a2e20aa974732ec673be3e905b44fb75e66fe7b1338060eb1345f8ad496",
     "scan signs --in {law2} --n 3 --x 1,0":

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import hypothesis.strategies as st
+from hypothesis import example, given
 
 from anticonc import (
     Dist,
@@ -80,6 +82,17 @@ class TestOptimalKScan:
                 assert result.best_k == n // 2
                 assert result.best_x == 0
 
+    @given(st.integers(1, 41), st.integers(2, 64).flatmap(lambda b: st.tuples(st.integers(1, b // 2), st.just(b))))
+    @example(31, (1, 2))
+    @example(40, (32, 64))
+    def test_rows_match_the_signed_binomial_oracle(self, n, ab):
+        # the row ladder against the convolution of two binomials, at every row
+        p = F(*ab)
+        result = optimal_k_scan(n, p, allow_even=n % 2 == 0)
+        assert [r.k for r in result.rows] == list(range(n // 2 + 1))
+        for row in result.rows:
+            assert (row.value, (row.x,)) == signed_binomial_diff(n, row.k, p).concentration()
+
     def test_mode_containment_explicitly(self):
         # the most likely value of the signed difference is floor or ceil
         # of its mean, re-checked here without going through the scan
@@ -112,6 +125,12 @@ class TestKPhaseScan:
         assert grid == [F(1, 8), F(1, 4), F(3, 8), F(1, 2)]
         with pytest.raises(ParamOutOfRange):
             default_p_grid(0)
+
+    def test_work_is_capped_before_the_scan(self):
+        with pytest.raises(TooLarge, match="above the cap"):
+            k_phase_scan(1001, default_p_grid(512))
+        with pytest.raises(TooLarge, match="6002 atoms"):
+            k_phase_scan(3001, [F(1, 2)])
 
     def test_grid_domain(self):
         with pytest.raises(ParamOutOfRange):
