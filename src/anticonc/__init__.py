@@ -28,7 +28,6 @@ from .dist import (
     convolve_all,
     delta,
     format_fraction,
-    same_type,
     self_convolve,
     uniform_on,
     weighted_sum,
@@ -47,12 +46,9 @@ from .reduction import (
     BalancingBound,
     Extremal,
     Mixture,
-    TypeClass,
-    TypePartition,
     agm_step,
     balancing_bound,
     extreme_decompose,
-    type_partition,
 )
 from .search import (
     GridSearchResult,
@@ -92,8 +88,6 @@ __all__ = [
     "PhaseDiagram",
     "Point",
     "ScaledDist",
-    "TypeClass",
-    "TypePartition",
     "agm_step",
     "alternating_bernoulli",
     "alternating_zero_asym",
@@ -126,13 +120,11 @@ __all__ = [
     "rearrange_left",
     "rearrange_right",
     "rearrange_symmetric",
-    "same_type",
     "self_convolve",
     "sign_vector_max",
     "signed_binomial_diff",
     "small_dev_ratio_approx",
     "small_dev_ratio_exact",
-    "type_partition",
     "uniform_on",
     "weight_grid_search",
     "weighted_sum",

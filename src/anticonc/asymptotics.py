@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dist import RationalLike, as_fraction, self_convolve
+from .dist import RationalLike, _alternating_zero, as_fraction
 from .errors import ParamOutOfRange, _require_at_least, _require_p, _require_support
 from .families import alternating_bernoulli, quasi_uniform, quasi_uniform_variance
 
@@ -35,8 +35,7 @@ def local_limit_exact(n: int, alpha: RationalLike) -> Fraction:
     _require_at_least("n", n, 1)
     u = quasi_uniform(alpha)
     _require_support(n, len(u.support))
-    law = self_convolve(u.convolve(u.negate()), n // 2)
-    return (law.convolve(u) if n % 2 else law).atom(0)
+    return _alternating_zero(u, n)
 
 
 def small_dev_ratio_exact(n: int, p: RationalLike, k: int) -> Fraction:

@@ -381,7 +381,7 @@ def _scan_signs(args) -> dict:
 def _scan_weights(args) -> dict:
     dist = _load_dist(args.infile)
     grid = [as_fraction(value) for value in args.grid_values.split(",")]
-    return {"n": args.n, "grid": grid, **vars(search.weight_grid_search(dist, args.n, grid, cap=args.cap))}
+    return {"n": args.n, "grid": grid, **vars(search.weight_grid_search(dist, args.n, grid))}
 
 
 class _Command(NamedTuple):
@@ -463,8 +463,7 @@ COMMANDS = {
         "best weight tuple from a grid for n iid summands",
         (_IN, _N,
          ("--grid-values", {"default": "-3,-2,-1,1,2,3",
-                            "help": "comma separated nonzero rationals; use --grid-values=-2,... for a leading minus"}),
-         ("--cap", {"type": int, "default": 10**7, "help": "enumeration cap on grid^n"})),
+                            "help": "comma separated nonzero rationals; use --grid-values=-2,... for a leading minus"})),
         _scan_weights),
 }
 

@@ -302,9 +302,11 @@ def self_convolve(dist: Dist, n: int) -> Dist:
     return out
 
 
-def same_type(mu: Dist, nu: Dist) -> bool:
-    """True when nu has the law of X or of -X for X ~ mu."""
-    return mu == nu or nu == mu.negate()
+def _alternating_zero(mu: Dist, n: int) -> Fraction:
+    """P(Y_1 - Y_2 + Y_3 - ... = 0) for n iid copies of mu: a power of the
+    alternating pair, times mu once more when n is odd, at the origin."""
+    law = self_convolve(mu.convolve(mu.negate()), n // 2)
+    return (law.convolve(mu) if n % 2 else law).atom((0,) * mu.dim)
 
 
 class ScaledDist(NamedTuple):
@@ -314,38 +316,17 @@ class ScaledDist(NamedTuple):
     dist: Dist
 
 
-def weighted_sum(weights: Sequence, components: Sequence[Dist]) -> ScaledDist:
+def weighted_sum(weights: Sequence[RationalLike], components: Sequence[Dist]) -> ScaledDist:
     """Exact law of sum_i a_i X_i with rational weights.
 
     Rational weights are cleared to integers by the least common multiple of
     their denominators; the returned law lives on the scaled lattice and the
-    factor is returned alongside it.  Weights may also be integer-indexed
-    vectors (sequences of rationals), sending one-dimensional components
-    into a common multi-dimensional lattice.
+    factor is returned alongside it.
     """
     if len(weights) != len(components):
         raise ValueError(f"{len(weights)} weights for {len(components)} components")
     if not components:
         raise ValueError("need at least one component")
-
-    vector_mode = any(isinstance(w, (list, tuple)) for w in weights)
-    if vector_mode:
-        vecs = [tuple(as_fraction(c) for c in w) for w in weights]
-        d = len(vecs[0])
-        if any(len(v) != d for v in vecs):
-            raise DimensionMismatch("weight vectors must share one length")
-        if any(all(c == 0 for c in v) for v in vecs):
-            raise ZeroWeight("each weight vector must be nonzero")
-        if any(comp.dim != 1 for comp in components):
-            raise DimensionMismatch("vector weights apply to one-dimensional components")
-        denom = math.lcm(*(c.denominator for v in vecs for c in v))
-        ints = [tuple(int(c * denom) for c in v) for v in vecs]
-        parts = [
-            comp.map_points(lambda p, w=w: tuple(p[0] * wc for wc in w), d)
-            for w, comp in zip(ints, components)
-        ]
-        return ScaledDist(denom, convolve_all(parts))
-
     fracs = [as_fraction(w) for w in weights]
     if any(w == 0 for w in fracs):
         raise ZeroWeight("each weight must be nonzero")

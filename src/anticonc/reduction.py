@@ -1,9 +1,9 @@
 """Reductions that trade a target sum for symmetrized or canonical pieces.
 
 These are the constructive steps behind the main comparison results: split a
-sum in half and dominate the hit probability by a symmetrized half, group
-summands that share a law up to sign, and peel a measure down to the extreme
-points of a concentration cap.
+sum in half and dominate the hit probability by a symmetrized half, bound it
+by the best alternating iid replacement, and peel a measure down to the
+extreme points of a concentration cap.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .dist import Dist, Point, PointLike, RationalLike, as_fraction, as_point, convolve_all, same_type, self_convolve
+from .dist import Dist, Point, PointLike, RationalLike, _alternating_zero, as_fraction, as_point, convolve_all
 from .errors import AssertionFailed, QTooLarge, _require_alpha, _require_common_dim, _require_even, require_bound
 from .families import extreme_point_measure
 
@@ -40,12 +40,11 @@ def agm_step(first_half: Sequence[Dist], second_half: Sequence[Dist]) -> AgmStep
     if len(first_half) != len(second_half):
         raise ValueError("halves must have equal length")
     dim = _require_common_dim([*first_half, *second_half], "distribution")
-    zero = (0,) * dim
     s = convolve_all(first_half)
     t = convolve_all(second_half)
-    joint = s.convolve(t).atom(zero)
-    first_sym = s.convolve(s.negate()).atom(zero)
-    second_sym = t.convolve(t.negate()).atom(zero)
+    joint = s.convolve(t).atom((0,) * dim)
+    first_sym = _alternating_zero(s, 2)
+    second_sym = _alternating_zero(t, 2)
     mirror = t == s.negate()
     bound = max(first_sym, second_sym)
     if joint > bound or (joint == bound and not mirror):
@@ -54,43 +53,6 @@ def agm_step(first_half: Sequence[Dist], second_half: Sequence[Dist]) -> AgmStep
             witness={"joint": joint, "first": first_sym, "second": second_sym, "mirror": mirror},
         )
     return AgmStep(joint, first_sym, second_sym, mirror)
-
-
-@dataclass(frozen=True)
-class TypeClass:
-    """Indices of input distributions sharing one law up to sign."""
-
-    representative: Dist
-    members: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class TypePartition:
-    classes: tuple[TypeClass, ...]
-
-
-def _canonical_rep(mu: Dist) -> Dist:
-    return min(mu, mu.negate(), key=Dist.to_json)
-
-
-def type_partition(dists: Sequence[Dist]) -> TypePartition:
-    """Group distributions equal up to sign.
-
-    Classes are ordered by decreasing size, ties by the representative's
-    canonical serialization; the representative itself is the sign variant
-    with the smaller serialization, so the output is order-independent.
-    """
-    _require_common_dim(dists, "distribution")
-    groups: list[tuple[Dist, list[int]]] = []
-    for idx, mu in enumerate(dists):
-        for rep, members in groups:
-            if same_type(mu, rep):
-                members.append(idx)
-                break
-        else:
-            groups.append((_canonical_rep(mu), [idx]))
-    ordered = sorted(groups, key=lambda g: (-len(g[1]), g[0].to_json()))
-    return TypePartition(tuple(TypeClass(rep, tuple(members)) for rep, members in ordered))
 
 
 @dataclass(frozen=True)
@@ -113,11 +75,11 @@ def balancing_bound(dists: Sequence[Dist], x: PointLike) -> BalancingBound:
     """
     n = len(dists)
     _require_even(n)
-    dim = _require_common_dim(dists, "distribution")
+    _require_common_dim(dists, "distribution")
     target = as_point(x)
-    zero = (0,) * dim
     lhs = convolve_all(dists).atom(target)
-    rhs = [self_convolve(mu.convolve(mu.negate()), n // 2).atom(zero) for mu in dists]
+    zero_mass = {mu: _alternating_zero(mu, n) for mu in dict.fromkeys(dists)}   # once per distinct law
+    rhs = [zero_mass[mu] for mu in dists]
     best_rhs = max(rhs)
     best_index = rhs.index(best_rhs)    # the first maximum: smallest index on ties
     require_bound("balancing bound failed", lhs, best_rhs, x=target, index=best_index)

@@ -27,6 +27,8 @@ from .dist import (
 )
 from .asymptotics import local_limit_exact
 from .errors import (
+    MAX_SIGN_SUMMANDS,
+    MAX_WEIGHT_TUPLES,
     AssertionFailed,
     EvenN,
     ParamOutOfRange,
@@ -66,7 +68,7 @@ class KScanResult:
         return tuple(r.k for r in self.rows if r.value == self.best_value)
 
 
-def optimal_k_scan(n: int, p: RationalLike, *, allow_even: bool = False) -> KScanResult:
+def optimal_k_scan(n: int, p: RationalLike) -> KScanResult:
     """Scan sign splits k = 0..floor(n/2) of n Bernoulli(p) summands.
 
     Row k is the law of B - B' with B ~ Binomial(n - k, p) and B' ~
@@ -81,11 +83,9 @@ def optimal_k_scan(n: int, p: RationalLike, *, allow_even: bool = False) -> KSca
     largest mass) is taken over every point, and the check that it lies in
     the floor/ceil window of the mean (n - 2k) p stays exhaustive in every
     cell; a mode outside raises AssertionFailed.  Smaller k and smaller x
-    win ties.  Even n is rejected unless allow_even is set.
+    win ties.
     """
     _require_at_least("n", n, 1)
-    if n % 2 == 0 and not allow_even:
-        raise EvenN(f"scan is defined for odd n, got {n}")
     _require_support(n, 2)
     q = _require_p(as_fraction(p))
     a, b = q.numerator, q.denominator
@@ -150,13 +150,15 @@ def default_p_grid(count: int) -> list[Fraction]:
 
 
 def k_phase_scan(n: int, p_grid: Sequence[RationalLike]) -> PhaseDiagram:
-    """Best sign split as a function of p over a grid in (0, 1/2]."""
+    """Best sign split as a function of p over a grid in (0, 1/2], for odd n."""
     ps = sorted({as_fraction(p) for p in p_grid})
     if not ps:
         raise ParamOutOfRange("empty grid")
     if ps[0] <= 0 or ps[-1] > Fraction(1, 2):
         raise ParamOutOfRange("grid values must lie in (0, 1/2]")
     _require_scan_work(n, len(ps), max(p.denominator for p in ps))
+    if n % 2 == 0:
+        raise EvenN(f"scan is defined for odd n, got {n}")
     cells = []
     observed: set[int] = set()
     for p in ps:
@@ -176,8 +178,8 @@ def sign_vector_max(dist: Dist, n: int, x: PointLike | None = None) -> tuple[Fra
     the reported witness is the lexicographically smallest maximizer.
     """
     _require_at_least("n", n, 1)
-    if n > 24:
-        raise TooLarge(f"sign enumeration capped at n = 24, got {n}")
+    if n > MAX_SIGN_SUMMANDS:
+        raise TooLarge(f"sign enumeration capped at n = {MAX_SIGN_SUMMANDS}, got {n}")
     powers = list(itertools.accumulate([dist] * n, Dist.convolve, initial=delta((0,) * dist.dim)))
     best: tuple[Fraction, int] | None = None
     for j in range(n + 1):
@@ -211,7 +213,7 @@ class GridSearchResult:
     exceeds_signs: bool
 
 
-def weight_grid_search(dist: Dist, n: int, grid: Sequence[RationalLike], cap: int = 10**7) -> GridSearchResult:
+def weight_grid_search(dist: Dist, n: int, grid: Sequence[RationalLike]) -> GridSearchResult:
     """Maximize the largest atom of sum_i a_i X_i over a_i from a finite grid.
 
     X_i are iid copies of `dist`.  Weight tuples equivalent under global
@@ -227,8 +229,8 @@ def weight_grid_search(dist: Dist, n: int, grid: Sequence[RationalLike], cap: in
         raise ParamOutOfRange("empty weight grid")
     if any(v == 0 for v in values):
         raise ZeroWeight("grid must not contain 0")
-    if len(values) ** n > cap:
-        raise TooLarge(f"{len(values)}^{n} weight tuples exceed the cap {cap}")
+    if len(values) ** n > MAX_WEIGHT_TUPLES:
+        raise TooLarge(f"{len(values)}^{n} weight tuples exceed the cap {MAX_WEIGHT_TUPLES}")
     sign_value, sign_vector = sign_vector_max(dist, n)
     seen: set[tuple[int, ...]] = set()
     best: tuple[Fraction, tuple[Fraction, ...], Point] | None = None

@@ -47,9 +47,6 @@ class CenteredSeq:
             return self.values[i]
         return _ZERO
 
-    def total(self) -> Fraction:
-        return sum(self.values, start=_ZERO)
-
 
 def rearrange_left(seq: CenteredSeq) -> CenteredSeq:
     """Largest value at 0, next on the negative side first."""

@@ -12,11 +12,11 @@ from anticonc import (
     bernoulli,
     convolve_all,
     delta,
-    same_type,
     self_convolve,
     uniform_on,
     weighted_sum,
 )
+from anticonc.dist import _alternating_zero
 from anticonc.errors import DimensionMismatch, MassNotOne, NegativeMass, ZeroWeight
 
 from conftest import brute_weighted_law, dists, fraction_convolve
@@ -130,19 +130,13 @@ class TestWeightedSum:
         law = brute_weighted_law([3, 2], [bernoulli(F(1, 2)), bernoulli(F(1, 2))])
         assert dict(d.atoms) == law
 
-    def test_vector_weights(self):
-        b = bernoulli(F(1, 2))
-        scale, d = weighted_sum([(1, 0), (0, 1)], [b, b])
-        assert scale == 1
-        assert d.dim == 2
-        assert d.atom((1, 1)) == F(1, 4)
-        assert d.atom((0, 1)) == F(1, 4)
+    def test_tuple_weight_is_not_a_rational(self):
+        with pytest.raises(ValueError, match="not a rational"):
+            weighted_sum([(1, 0)], [bernoulli(F(1, 2))])
 
     def test_zero_weight_rejected(self):
         with pytest.raises(ZeroWeight):
             weighted_sum([0], [bernoulli(F(1, 2))])
-        with pytest.raises(ZeroWeight):
-            weighted_sum([(0, 0)], [bernoulli(F(1, 2))])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -173,11 +167,11 @@ class TestCombinators:
         assert self_convolve(b, 0) == delta(0)
         assert self_convolve(b, 2).atom(1) == F(1, 2)
 
-    def test_same_type(self):
-        b = bernoulli(F(1, 3))
-        assert same_type(b, b)
-        assert same_type(b, b.negate())
-        assert not same_type(b, bernoulli(F(1, 2)))
+
+@given(st.integers(1, 2).flatmap(dists), st.integers(1, 6))
+def test_alternating_zero_is_the_zero_mass_of_the_alternating_sum(mu, n):
+    signs = [(-1) ** i for i in range(n)]
+    assert _alternating_zero(mu, n) == weighted_sum(signs, [mu] * n).dist.atom((0,) * mu.dim)
 
 
 @given(st.integers(1, 2).flatmap(lambda d: st.tuples(dists(dim=d), dists(dim=d))))

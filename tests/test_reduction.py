@@ -16,8 +16,6 @@ from anticonc import (
     extreme_decompose,
     extreme_point_measure,
     quasi_uniform,
-    same_type,
-    type_partition,
     uniform_on,
 )
 from anticonc.errors import AlphaOutOfRange, OddN, QTooLarge
@@ -63,34 +61,6 @@ class TestAgmStep:
         assert step.joint_zero <= max(step.first_sym_zero, step.second_sym_zero)
 
 
-class TestTypePartition:
-    def test_groups_up_to_sign(self):
-        b = bernoulli(F(1, 3))
-        u = uniform_on([0, 1, 2])
-        partition = type_partition([b, u, b.negate(), b, u.negate().shift(-1)])
-        assert len(partition.classes) == 3
-        assert partition.classes[0].members == (0, 2, 3)
-        assert same_type(partition.classes[0].representative, b)
-        sizes = [len(c.members) for c in partition.classes]
-        assert sizes == sorted(sizes, reverse=True)
-
-    def test_representative_is_canonical(self):
-        b = bernoulli(F(1, 3))
-        one = type_partition([b])
-        other = type_partition([b.negate()])
-        assert one.classes[0].representative == other.classes[0].representative
-
-    def test_distinct_representatives_are_different_types(self):
-        rng = random.Random(3)
-        ds = [random_dist(rng) for _ in range(12)]
-        partition = type_partition(ds)
-        reps = [c.representative for c in partition.classes]
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                assert not same_type(reps[i], reps[j])
-        assert sorted(i for c in partition.classes for i in c.members) == list(range(12))
-
-
 class TestBalancingBound:
     def test_pair_of_bernoullis(self):
         b = bernoulli(F(1, 3))
@@ -112,6 +82,16 @@ class TestBalancingBound:
         bound = balancing_bound([spread, tight], (1,))
         assert bound.index == 1
         assert bound.rhs == F(1, 2)
+
+    def test_one_power_per_distinct_law(self, monkeypatch):
+        calls = []
+        convolve = Dist.convolve
+        monkeypatch.setattr(Dist, "convolve", lambda a, b: calls.append(1) or convolve(a, b))
+        b = bernoulli(F(1, 3))
+        bound = balancing_bound([b] * 4, (0,))
+        # 3 for the lhs; the pair law and one squaring for the single rhs
+        assert len(calls) == 5
+        assert (bound.index, bound.rhs) == (0, F(11, 27))
 
     def test_odd_count_rejected(self):
         with pytest.raises(OddN):

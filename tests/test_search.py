@@ -73,12 +73,12 @@ class TestOptimalKScan:
 
     def test_even_rejected_by_default(self):
         with pytest.raises(EvenN):
-            optimal_k_scan(4, F(1, 3))
+            k_phase_scan(4, [F(1, 3)])
 
     def test_even_optimum_is_the_balanced_split(self):
         for n in (2, 4, 6):
             for p in (F(1, 10), F(1, 3)):
-                result = optimal_k_scan(n, p, allow_even=True)
+                result = optimal_k_scan(n, p)
                 assert result.best_k == n // 2
                 assert result.best_x == 0
 
@@ -88,7 +88,7 @@ class TestOptimalKScan:
     def test_rows_match_the_signed_binomial_oracle(self, n, ab):
         # the row ladder against the convolution of two binomials, at every row
         p = F(*ab)
-        result = optimal_k_scan(n, p, allow_even=n % 2 == 0)
+        result = optimal_k_scan(n, p)
         assert [r.k for r in result.rows] == list(range(n // 2 + 1))
         for row in result.rows:
             assert (row.value, (row.x,)) == signed_binomial_diff(n, row.k, p).concentration()
@@ -174,7 +174,7 @@ class TestSignVectorMax:
         assert (value, signs) == (F(2, 3), (-1,))
 
     def test_cap(self):
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge, match="sign enumeration capped at n = 24, got 25"):
             sign_vector_max(bernoulli(F(1, 2)), 25)
 
 
@@ -210,8 +210,9 @@ class TestWeightGridSearch:
             weight_grid_search(bernoulli(F(1, 2)), 2, [F(0), F(1)])
 
     def test_cap(self):
-        with pytest.raises(TooLarge):
-            weight_grid_search(bernoulli(F(1, 2)), 3, [F(1), F(2)], cap=7)
+        # 6^10 tuples exceed the fixed cap of 10^7; refused before any law is built
+        with pytest.raises(TooLarge, match=r"6\^10 weight tuples exceed the cap 10000000"):
+            weight_grid_search(bernoulli(F(1, 2)), 10, [F(v) for v in range(1, 7)])
 
 
 class TestQuasiUniformBoundCheck:
