@@ -228,10 +228,10 @@ def _draw_monotone(args, rng: random.Random) -> dict:
 CHECKS = {
     "gabriel": _Check(
         "zero-sum coefficient versus canonical rearrangements",
-        (("--star-from", {"type": int, "default": 2, "help": "first index rearranged symmetrically"}),),
+        (),
         _draw_gabriel,
         lambda instance: gabriel_sides(instance["seqs"]),
-        lambda args: _sides(gabriel_sides(_load_seqs(args.infile), star_from=args.star_from)),
+        lambda args: _sides(gabriel_sides(_load_seqs(args.infile))),
     ),
     "birnbaum": _Check(
         "peakedness transfer through convolution",

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
-from .errors import DimensionMismatch, MassNotOne, NegativeMass, ZeroWeight, _require_common_dim
+from .errors import DimensionMismatch, MassNotOne, NegativeMass, ZeroWeight, _require_at_least, _require_common_dim
 
 Point = tuple[int, ...]
 RationalLike = Union[Fraction, int, str]
@@ -138,8 +138,7 @@ class Dist:
         """P(|X| <= k) for a one-dimensional distribution."""
         if self.dim != 1:
             raise DimensionMismatch("interval probabilities need dimension 1")
-        if k < 0:
-            raise ValueError("interval radius must be >= 0")
+        _require_at_least("k", k, 0)
         return Fraction(sum([m for (x,), m in zip(self.support, self.nums) if -k <= x <= k]), self.den)
 
     def is_symmetric(self) -> bool:
@@ -174,34 +173,32 @@ class Dist:
 
     # -- transforms ----------------------------------------------------
 
-    def map_points(self, fn: Callable[[Point], PointLike], dim: int | None = None) -> "Dist":
-        """Pushforward along a point map; colliding images merge."""
+    def map_points(self, fn: Callable[[Point], PointLike]) -> "Dist":
+        """Pushforward along a point map into the same dimension; colliding images merge."""
         mass: dict[Point, int] = {}
         for p, m in zip(self.support, self.nums):
             q = as_point(fn(p))
+            if len(q) != self.dim:
+                raise DimensionMismatch(f"image point {q} has dim {len(q)}, expected {self.dim}")
             mass[q] = mass.get(q, 0) + m
-        out_dim = len(next(iter(mass))) if dim is None else dim
-        for q in mass:
-            if len(q) != out_dim:
-                raise DimensionMismatch(f"image point {q} has dim {len(q)}, expected {out_dim}")
-        return _canonical(out_dim, mass, self.den)
+        return _canonical(self.dim, mass, self.den)
 
     def negate(self) -> "Dist":
         """Law of -X."""
-        return self.map_points(lambda p: tuple(-c for c in p), self.dim)
+        return self.map_points(lambda p: tuple(-c for c in p))
 
     def shift(self, v: PointLike) -> "Dist":
         """Law of X + v."""
         w = as_point(v)
         if len(w) != self.dim:
             raise DimensionMismatch(f"shift {w} has dim {len(w)}, expected {self.dim}")
-        return self.map_points(lambda p: tuple(c + d for c, d in zip(p, w)), self.dim)
+        return self.map_points(lambda p: tuple(c + d for c, d in zip(p, w)))
 
     def scale(self, c: int) -> "Dist":
         """Law of c * X for a nonzero integer c."""
         if c == 0:
             raise ZeroWeight("scaling by 0 collapses the lattice")
-        return self.map_points(lambda p: tuple(c * x for x in p), self.dim)
+        return self.map_points(lambda p: tuple(c * x for x in p))
 
     def convolve(self, other: "Dist") -> "Dist":
         """Law of X + Y for independent X ~ self, Y ~ other."""
@@ -290,8 +287,7 @@ def convolve_all(dists: Sequence[Dist]) -> Dist:
 def self_convolve(dist: Dist, n: int) -> Dist:
     """n-fold convolution power by square and multiply; n = 0 gives the point
     mass at the origin.  Exact, canonical laws make the product order moot."""
-    if n < 0:
-        raise ValueError("convolution power must be >= 0")
+    _require_at_least("n", n, 0)
     out = delta((0,) * dist.dim) if n == 0 else None
     while n:
         if n & 1:
@@ -325,8 +321,6 @@ def weighted_sum(weights: Sequence[RationalLike], components: Sequence[Dist]) ->
     """
     if len(weights) != len(components):
         raise ValueError(f"{len(weights)} weights for {len(components)} components")
-    if not components:
-        raise ValueError("need at least one component")
     fracs = [as_fraction(w) for w in weights]
     if any(w == 0 for w in fracs):
         raise ZeroWeight("each weight must be nonzero")

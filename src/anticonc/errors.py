@@ -124,7 +124,7 @@ def _require_p(q):
 
 MAX_ATOMS = 4096
 MAX_SIGN_SUMMANDS = 24          # sign_vector_max forms n + 1 laws of up to n summands each
-MAX_WEIGHT_TUPLES = 10**7       # weight_grid_search: grid values to the power n
+MAX_WEIGHT_WORK = 50_000        # weight_grid_search: sorted weight tuples times n
 
 
 def _require_support(summands, width):

@@ -14,7 +14,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .dist import Dist, PointLike, RationalLike, _canonical, as_fraction, as_point
-from .errors import ParamOutOfRange, RestPointInSupport, WrongSupportSize, _require_alpha, _require_p, _require_support
+from .errors import (ParamOutOfRange, RestPointInSupport, WrongSupportSize, _require_alpha, _require_at_least,
+                     _require_p, _require_support)
 
 
 def quasi_uniform(alpha: RationalLike) -> Dist:
@@ -75,8 +76,7 @@ def binomial(n: int, p: RationalLike) -> Dist:
     With p = a/b the mass at k is C(n, k) a^k (b - a)^(n - k) / b^n.
     """
     q = as_fraction(p)
-    if n < 0:
-        raise ParamOutOfRange(f"trial count must be >= 0, got {n}")
+    _require_at_least("n", n, 0)
     if not 0 < q <= 1:
         raise ParamOutOfRange(f"success mass must lie in (0, 1], got {q}")
     _require_support(n, 2)
@@ -90,8 +90,7 @@ def alternating_bernoulli(n: int, p: RationalLike) -> Dist:
     ceil(n/2) summands enter with sign +1 and floor(n/2) with sign -1, so
     the result is the difference of two independent binomials.
     """
-    if n < 1:
-        raise ParamOutOfRange(f"need at least one summand, got {n}")
+    _require_at_least("n", n, 1)
     _require_support(n, 2)
     return signed_binomial_diff(n, n // 2, p)
 

@@ -103,20 +103,6 @@ class Mixture:
     mu2: Dist
 
 
-def _extremal_pattern(mu: Dist, alpha: Fraction) -> Extremal | None:
-    k = math.floor(1 / alpha)
-    remainder = 1 - k * alpha
-    main = tuple(p for p, m in mu.atoms if m == alpha)
-    other = [(p, m) for p, m in mu.atoms if m != alpha]
-    if len(main) != k:
-        return None
-    if remainder == 0 and not other:
-        return Extremal(main, None)
-    if remainder > 0 and len(other) == 1 and other[0][1] == remainder:
-        return Extremal(main, other[0][0])
-    return None
-
-
 def extreme_decompose(mu: Dist, alpha: RationalLike) -> Union[Extremal, Mixture]:
     """Peel one extreme point of the concentration cap off a measure.
 
@@ -133,15 +119,15 @@ def extreme_decompose(mu: Dist, alpha: RationalLike) -> Union[Extremal, Mixture]
     if q > a:
         raise QTooLarge(f"largest atom {q} exceeds level {a}")
 
-    found = _extremal_pattern(mu, a)
-    if found is not None:
-        return found
-
+    # masses of at most a summing to 1 take more than k atoms unless a = 1/k and
+    # all k equal a, so rest is None only then, when mu2 needs no rest and is mu
     k = math.floor(1 / a)
     ranked = sorted(mu.atoms, key=lambda pm: (-pm[1], pm[0]))
     main = [p for p, _ in ranked[:k]]
-    rest = ranked[k][0]
+    rest = ranked[k][0] if len(ranked) > k else None
     mu2 = extreme_point_measure(a, main, rest)
+    if mu2 == mu:
+        return Extremal(tuple(main), rest)
 
     # the cap on mu1's atoms bounds the stretch away from mu2
     eps = a * (k + 1) - 1

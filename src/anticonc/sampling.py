@@ -16,34 +16,34 @@ from .errors import _require_alpha
 from .transforms import CenteredSeq
 
 
-def random_masses(rng: random.Random, count: int, max_weight: int = 9) -> list[Fraction]:
+def random_masses(rng: random.Random, count: int) -> list[Fraction]:
     """Positive rationals summing to exactly 1."""
-    weights = [rng.randint(1, max_weight) for _ in range(count)]
+    weights = [rng.randint(1, 9) for _ in range(count)]
     total = sum(weights)
     return [Fraction(w, total) for w in weights]
 
 
-def random_dist(rng: random.Random, dim: int = 1, max_support: int = 4, coord_bound: int = 3) -> Dist:
-    """A random distribution on distinct points of Z^dim."""
-    count = rng.randint(1, max_support)
+def random_dist(rng: random.Random, dim: int = 1) -> Dist:
+    """A random distribution on 1 to 4 distinct points of {-3..3}^dim."""
+    count = rng.randint(1, 4)
     points: set[tuple[int, ...]] = set()
     while len(points) < count:
-        points.add(tuple(rng.randint(-coord_bound, coord_bound) for _ in range(dim)))
+        points.add(tuple(rng.randint(-3, 3) for _ in range(dim)))
     return Dist.from_entries(zip(sorted(points), random_masses(rng, count)))
 
 
-def random_capped_dist(rng: random.Random, alpha, span: int = 6, parts: int = 3) -> Dist:
+def random_capped_dist(rng: random.Random, alpha) -> Dist:
     """A random distribution whose largest atom is at most alpha.
 
     Built as a convex combination of extreme points of the cap (each a flat
     measure at level alpha plus remainder), so the cap holds by convexity.
-    The points come from -span..span, widened to hold floor(1/alpha) + 1.
+    Its 1 to 3 parts draw points from -6..6, widened to hold floor(1/alpha) + 1.
     """
     a = _require_alpha(as_fraction(alpha))
     k = math.floor(1 / a)
-    span = max(span, (k + 1) // 2)
+    span = max(6, (k + 1) // 2)
     entries = []
-    for weight in random_masses(rng, rng.randint(1, parts)):
+    for weight in random_masses(rng, rng.randint(1, 3)):
         chosen = rng.sample(range(-span, span + 1), k + 1)
         main = sorted(chosen[:k])
         remainder = 1 - k * a
@@ -64,19 +64,19 @@ def _layer_dist(layers: list[Fraction]) -> Dist:
     return Dist.from_entries(entries)
 
 
-def random_symmetric_unimodal(rng: random.Random, max_radius: int = 4) -> Dist:
-    """A random mixture of centered uniform blocks: symmetric and unimodal."""
-    radius = rng.randint(0, max_radius)
+def random_symmetric_unimodal(rng: random.Random) -> Dist:
+    """A random mixture of centered uniform blocks of radius at most 4: symmetric and unimodal."""
+    radius = rng.randint(0, 4)
     return _layer_dist(random_masses(rng, radius + 1))
 
 
-def random_peaked_pair(rng: random.Random, max_radius: int = 4) -> tuple[Dist, Dist]:
+def random_peaked_pair(rng: random.Random) -> tuple[Dist, Dist]:
     """(Y, Y') symmetric unimodal with Y' at least as peaked as Y.
 
     Y' is obtained from Y's block mixture by moving mass from wide blocks
     to narrower ones, which can only raise every central interval mass.
     """
-    radius = rng.randint(1, max_radius)
+    radius = rng.randint(1, 4)
     layers = random_masses(rng, radius + 1)
     peaked = list(layers)
     for i in range(radius, 0, -1):
@@ -90,22 +90,22 @@ def random_peaked_pair(rng: random.Random, max_radius: int = 4) -> tuple[Dist, D
     return _layer_dist(layers), _layer_dist(peaked)
 
 
-def _random_value(rng: random.Random, max_num: int = 8, max_den: int = 9) -> Fraction:
-    return Fraction(rng.randint(0, max_num), rng.randint(1, max_den))
+def _random_value(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(0, 8), rng.randint(1, 9))
 
 
-def random_centered_seq(rng: random.Random, max_radius: int = 3) -> CenteredSeq:
-    """A random nonnegative sequence on -k..k; not necessarily symmetrizable."""
-    radius = rng.randint(0, max_radius)
+def random_centered_seq(rng: random.Random) -> CenteredSeq:
+    """A random nonnegative sequence on -k..k, k <= 3; not necessarily symmetrizable."""
+    radius = rng.randint(0, 3)
     values = [_random_value(rng) for _ in range(2 * radius + 1)]
     if all(v == 0 for v in values):
         values[rng.randrange(len(values))] = Fraction(1)
     return CenteredSeq.from_values(values)
 
 
-def random_symmetrizable_seq(rng: random.Random, max_radius: int = 3) -> CenteredSeq:
-    """A random sequence whose values pair up below the top one."""
-    radius = rng.randint(0, max_radius)
+def random_symmetrizable_seq(rng: random.Random) -> CenteredSeq:
+    """A random sequence on -k..k, k <= 3, whose values pair up below the top one."""
+    radius = rng.randint(0, 3)
     pairs = [_random_value(rng) for _ in range(radius)]
     top = max(pairs, default=Fraction(0)) + Fraction(rng.randint(0, 4), 4)
     if top == 0:

@@ -28,7 +28,7 @@ from .dist import (
 from .asymptotics import local_limit_exact
 from .errors import (
     MAX_SIGN_SUMMANDS,
-    MAX_WEIGHT_TUPLES,
+    MAX_WEIGHT_WORK,
     AssertionFailed,
     EvenN,
     ParamOutOfRange,
@@ -144,18 +144,15 @@ class PhaseDiagram:
 
 def default_p_grid(count: int) -> list[Fraction]:
     """The grid i / (2 count) for i = 1..count, filling (0, 1/2]."""
-    if count < 1:
-        raise ParamOutOfRange(f"need a positive grid size, got {count}")
+    _require_at_least("grid", count, 1)
     return [Fraction(i, 2 * count) for i in range(1, count + 1)]
 
 
 def k_phase_scan(n: int, p_grid: Sequence[RationalLike]) -> PhaseDiagram:
     """Best sign split as a function of p over a grid in (0, 1/2], for odd n."""
-    ps = sorted({as_fraction(p) for p in p_grid})
+    ps = sorted({_require_p(as_fraction(p)) for p in p_grid})
     if not ps:
         raise ParamOutOfRange("empty grid")
-    if ps[0] <= 0 or ps[-1] > Fraction(1, 2):
-        raise ParamOutOfRange("grid values must lie in (0, 1/2]")
     _require_scan_work(n, len(ps), max(p.denominator for p in ps))
     if n % 2 == 0:
         raise EvenN(f"scan is defined for odd n, got {n}")
@@ -229,8 +226,10 @@ def weight_grid_search(dist: Dist, n: int, grid: Sequence[RationalLike]) -> Grid
         raise ParamOutOfRange("empty weight grid")
     if any(v == 0 for v in values):
         raise ZeroWeight("grid must not contain 0")
-    if len(values) ** n > MAX_WEIGHT_TUPLES:
-        raise TooLarge(f"{len(values)}^{n} weight tuples exceed the cap {MAX_WEIGHT_TUPLES}")
+    tuples = math.comb(len(values) + n - 1, n)
+    if tuples * n > MAX_WEIGHT_WORK:
+        raise TooLarge(f"{tuples} sorted weight tuples of {n} summands predict {tuples * n} steps, "
+                       f"above the cap {MAX_WEIGHT_WORK}")
     sign_value, sign_vector = sign_vector_max(dist, n)
     seen: set[tuple[int, ...]] = set()
     best: tuple[Fraction, tuple[Fraction, ...], Point] | None = None

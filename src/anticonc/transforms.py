@@ -94,45 +94,27 @@ def _zero_sum_coefficient(seqs: Sequence[CenteredSeq]) -> Fraction:
     acc = {0: Fraction(1)}
     for seq in seqs:
         nxt: dict[int, Fraction] = {}
-        k = seq.radius
         for pos, val in acc.items():
-            if val == 0:
-                continue
-            for i in range(-k, k + 1):
-                v = seq.value_at(i)
+            for i, v in enumerate(seq.values, -seq.radius):
                 if v != 0:
                     nxt[pos + i] = nxt.get(pos + i, _ZERO) + val * v
         acc = nxt
     return acc.get(0, _ZERO)
 
 
-def gabriel_sides(seqs: Sequence[CenteredSeq], star_from: int = 2) -> tuple[Fraction, Fraction]:
+def gabriel_sides(seqs: Sequence[CenteredSeq]) -> tuple[Fraction, Fraction]:
     """Zero-sum coefficient before and after the canonical rearrangements.
 
     The first sequence is rearranged left, the second right, and every
-    sequence from index `star_from` on is replaced by its symmetric
-    decreasing rearrangement.  Sequences between index 2 and `star_from`
-    must already be symmetric decreasing; they are kept as they are.
+    further sequence is replaced by its symmetric decreasing rearrangement.
     Returns (original, rearranged); the rearranged side is never smaller,
     and AssertionFailed is raised if it is.
     """
     if len(seqs) < 2:
         raise ValueError("need at least two sequences")
-    if star_from < 2:
-        raise ValueError("the first two positions are always rearranged left/right")
-    transformed = [rearrange_left(seqs[0]), rearrange_right(seqs[1])]
-    for i, seq in enumerate(seqs[2:], start=2):
-        star = rearrange_symmetric(seq)
-        if i < star_from:
-            if seq != star:
-                raise PreconditionViolated(
-                    f"sequence {i} is kept verbatim but is not symmetric decreasing"
-                )
-            transformed.append(seq)
-        else:
-            transformed.append(star)
+    transformed = [rearrange_left(seqs[0]), rearrange_right(seqs[1]), *map(rearrange_symmetric, seqs[2:])]
     lhs, rhs = _zero_sum_coefficient(seqs), _zero_sum_coefficient(transformed)
-    require_bound("rearranged zero-sum coefficient decreased", lhs, rhs, seqs=list(seqs), star_from=star_from)
+    require_bound("rearranged zero-sum coefficient decreased", lhs, rhs, seqs=list(seqs))
     return lhs, rhs
 
 

@@ -6,6 +6,7 @@ Budgets are generous on purpose; the suite must stay green on modest
 hardware, not benchmark it.
 """
 
+import argparse
 import itertools
 import math
 import random
@@ -36,16 +37,15 @@ from anticonc import (
     uniform_on,
     weight_grid_search,
 )
-from anticonc.sampling import (
-    random_capped_dist,
-    random_centered_seq,
-    random_dist,
-    random_peaked_pair,
-    random_symmetric_unimodal,
-    random_symmetrizable_seq,
-)
+from anticonc.cli import CHECKS
+from anticonc.sampling import random_dist
 
 LEVELS = (F(1, 3), F(2, 5), F(1, 2), F(3, 4))
+
+
+def draw(check, rng):
+    """One seeded instance, drawn as `anticonc check <check> --trials` draws it."""
+    return CHECKS[check].draw(argparse.Namespace(alpha=None), rng)
 
 
 @contextmanager
@@ -67,9 +67,7 @@ def test_criterion_02_balancing_bound_on_random_instances():
     with budget("C-02 balancing bound, 1000 instances, all targets", 60.0):
         rng = random.Random(202)
         for _ in range(1000):
-            n = rng.choice((2, 4, 6))
-            dim = rng.choice((1, 2))
-            dists = [random_dist(rng, dim=dim, max_support=4) for _ in range(n)]
+            dists = draw("balancing", rng)["dists"]
             joint = convolve_all(dists)
             bound = balancing_bound(dists, joint.concentration()[1])
             assert bound.lhs <= bound.rhs
@@ -80,9 +78,8 @@ def test_criterion_03_quasi_uniform_ceiling_and_tightness():
     with budget("C-03 quasi-uniform ceiling, 500 instances + tightness", 60.0):
         rng = random.Random(303)
         for _ in range(500):
-            alpha = rng.choice(LEVELS)
-            n = rng.choice((2, 4))
-            dists = [random_capped_dist(rng, alpha) for _ in range(n)]
+            instance = draw("theorem2", rng)
+            alpha, dists = instance["alpha"], instance["dists"]
             x = convolve_all(dists).concentration()[1]
             lhs, rhs = quasi_uniform_bound_check(dists, alpha, x)
             assert lhs <= rhs
@@ -110,14 +107,11 @@ def test_criterion_05_rearrangement_and_peakedness_inequalities():
     with budget("C-05 rearrangement + peakedness, 500 each", 60.0):
         rng = random.Random(505)
         for _ in range(500):
-            count = rng.randint(2, 4)
-            seqs = [random_centered_seq(rng), random_centered_seq(rng)]
-            seqs += [random_symmetrizable_seq(rng) for _ in range(count - 2)]
-            lhs, rhs = gabriel_sides(seqs)
+            lhs, rhs = gabriel_sides(draw("gabriel", rng)["seqs"])
             assert lhs <= rhs
         for _ in range(500):
-            x = random_symmetric_unimodal(rng)
-            y, yp = random_peaked_pair(rng)
+            instance = draw("birnbaum", rng)
+            x, y, yp = instance["X"], instance["Y"], instance["Yp"]
             radius = max(abs(v) for d in (x, y, yp) for (v,), _ in d.atoms)
             for k in range(2 * radius + 1):
                 lhs, rhs = birnbaum_sides(x, y, yp, k)

@@ -1,5 +1,9 @@
 """The public surface of the package, and the contract the benchmark tracer relies on.
 
+The optional parameters of the public callables are pinned too, so a new
+knob has to be listed here, and each parameter domain has one validator
+whose message every guard of that domain shares.
+
 `perfbench/tracing.py` wraps every public function of every anticonc module
 and the `Dist` methods it names, and sorts each span into a per-layer group.
 Loading it here makes a removed traced method, or a public `dist` function
@@ -8,9 +12,16 @@ traced benchmark run.
 """
 
 import importlib.util
+import inspect
+from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 import anticonc
+from anticonc import Dist, alternating_bernoulli, bernoulli, binomial, default_p_grid, k_phase_scan, self_convolve
+from anticonc import sampling
+from anticonc.errors import ParamOutOfRange, _require_at_least, _require_p
 
 PUBLIC = [
     "AgmStep", "BalancingBound", "CenteredSeq", "Dist", "Extremal", "GridSearchResult", "KScanResult", "Mixture",
@@ -49,3 +60,38 @@ def test_tracer_knows_every_span():
     assert "dist.convolve" in spans and "search.optimal_k_scan" in spans
     for span in spans:
         assert tracing.group_of(span)
+
+
+OPTIONAL = ["extreme_point_measure.rest", "sampling.random_dist.dim", "sign_vector_max.x"]
+
+
+def _optional_parameters():
+    callables = [(name, getattr(anticonc, name)) for name in anticonc.__all__]
+    callables += [(f"sampling.{name}", obj) for name, obj in vars(sampling).items()
+                  if inspect.isfunction(obj) and obj.__module__ == sampling.__name__ and not name.startswith("_")]
+    callables += [(f"Dist.{name}", getattr(Dist, name)) for name in vars(Dist) if not name.startswith("_")]
+    return sorted(
+        f"{name}.{param.name}"
+        for name, obj in callables if inspect.isfunction(obj) or inspect.isclass(obj)
+        for param in inspect.signature(obj).parameters.values() if param.default is not param.empty
+    )
+
+
+def test_optional_parameters_are_pinned():
+    assert _optional_parameters() == OPTIONAL
+
+
+@pytest.mark.parametrize("call, validator", [
+    (lambda: binomial(-1, F(1, 3)), lambda: _require_at_least("n", -1, 0)),
+    (lambda: alternating_bernoulli(0, F(1, 3)), lambda: _require_at_least("n", 0, 1)),
+    (lambda: default_p_grid(0), lambda: _require_at_least("grid", 0, 1)),
+    (lambda: self_convolve(bernoulli(F(1, 3)), -1), lambda: _require_at_least("n", -1, 0)),
+    (lambda: bernoulli(F(1, 3)).interval_prob(-1), lambda: _require_at_least("k", -1, 0)),
+    (lambda: k_phase_scan(3, [F(1, 4), F(3, 5)]), lambda: _require_p(F(3, 5))),
+], ids=["binomial", "alternating_bernoulli", "default_p_grid", "self_convolve", "interval_prob", "k_phase_scan"])
+def test_guards_share_their_domain_validator(call, validator):
+    with pytest.raises(ParamOutOfRange) as shared:
+        validator()
+    with pytest.raises(ParamOutOfRange) as raised:
+        call()
+    assert str(raised.value) == str(shared.value)

@@ -349,6 +349,7 @@ MALFORMED = [
     (None, "scan kphase --n 3 --grid 100000000"),
     (None, "scan kphase --n 3001 --grid 1"),
     ('{"dim":1,"atoms":[[[0],"1/2"],[[1],"1/2"]]}', "scan weights --in {in} --n 2 --cap 100"),
+    ('[["1/5","1/2","3/10"],["1/4","1/2","1/4"],["1/4","1/2","1/4"]]', "check gabriel --in {in} --star-from 3"),
     # --format is taken only by the commands that emit rows
     (None, "family binom --n 3 --p 1/3 --format csv"),
     ('{"dim":1,"atoms":[[[0],"1/2"],[[1],"1/2"]]}', "dist q --in {in} --format json"),

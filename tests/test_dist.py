@@ -106,6 +106,10 @@ class TestTransforms:
         d = uniform_on([(0, 1), (2, 3)])
         assert d.convolve(delta((0, 0))) == d
 
+    def test_map_points_keeps_the_dimension(self):
+        with pytest.raises(DimensionMismatch, match=r"image point \(0, 0\) has dim 2, expected 1"):
+            bernoulli(F(1, 3)).map_points(lambda p: (p[0], 0))
+
     def test_convolve_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             bernoulli(F(1, 2)).convolve(delta((0, 0)))

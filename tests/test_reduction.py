@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given
 
 from anticonc import (
@@ -123,6 +125,18 @@ class TestExtremeDecompose:
         d = Dist.from_entries([(0, "2/5"), (1, "2/5"), (2, "1/5")])
         result = extreme_decompose(d, F(2, 5))
         assert result == Extremal(points=((0,), (1,)), rest=(2,))
+        # the rest point may sort before the main points
+        d = Dist.from_entries([(-3, "1/5"), (1, "2/5"), (4, "2/5")])
+        assert extreme_decompose(d, F(2, 5)) == Extremal(points=((1,), (4,)), rest=(-3,))
+
+    @given(fractions_in_unit(), st.integers(1, 2), st.data())
+    def test_every_extreme_point_is_recognized(self, alpha, dim, data):
+        k = math.floor(1 / alpha)
+        points = st.tuples(*[st.integers(-20, 20)] * dim)
+        pts = data.draw(st.lists(points, min_size=k + 1, max_size=k + 1, unique=True))
+        rest = pts[k] if k * alpha < 1 else None
+        result = extreme_decompose(extreme_point_measure(alpha, pts[:k], rest), alpha)
+        assert result == Extremal(tuple(sorted(pts[:k])), rest)
 
     def test_worked_mixture(self):
         # cap 1/2 leaves room to stretch: the bound from the level, not a

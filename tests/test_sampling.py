@@ -33,7 +33,7 @@ def test_random_masses_sum_to_one():
 def test_random_dist_shape():
     rng = random.Random(2)
     for _ in range(50):
-        d = random_dist(rng, dim=2, max_support=4, coord_bound=3)
+        d = random_dist(rng, dim=2)
         assert d.dim == 2
         assert 1 <= len(d.atoms) <= 4
         assert all(abs(c) <= 3 for p, _ in d.atoms for c in p)

@@ -210,9 +210,10 @@ class TestWeightGridSearch:
             weight_grid_search(bernoulli(F(1, 2)), 2, [F(0), F(1)])
 
     def test_cap(self):
-        # 6^10 tuples exceed the fixed cap of 10^7; refused before any law is built
-        with pytest.raises(TooLarge, match=r"6\^10 weight tuples exceed the cap 10000000"):
-            weight_grid_search(bernoulli(F(1, 2)), 10, [F(v) for v in range(1, 7)])
+        # C(19, 14) = 11,628 sorted tuples of 14 summands exceed the fixed cap; refused before any law is built
+        msg = "11628 sorted weight tuples of 14 summands predict 162792 steps, above the cap 50000"
+        with pytest.raises(TooLarge, match=msg):
+            weight_grid_search(bernoulli(F(1, 2)), 14, [F(v) for v in range(1, 7)])
 
 
 class TestQuasiUniformBoundCheck:

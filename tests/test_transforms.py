@@ -146,13 +146,6 @@ class TestGabriel:
             lhs, rhs = gabriel_sides(seqs)
             assert lhs <= rhs
 
-    def test_star_from_requires_symmetric_decreasing_prefix(self):
-        sym_dec = seq(1, 2, 1)
-        with pytest.raises(PreconditionViolated):
-            gabriel_sides([seq(1, 2, 3), seq(1, 2, 3), seq(1, 1, 2), sym_dec], star_from=3)
-        lhs, rhs = gabriel_sides([seq(1, 2, 3), seq(1, 2, 3), sym_dec, sym_dec], star_from=3)
-        assert lhs <= rhs
-
     def test_unsymmetrizable_tail_rejected(self):
         with pytest.raises(NotSymmetrizable):
             gabriel_sides([seq(1, 1, 1), seq(1, 1, 1), seq(0, 1, 2)])
