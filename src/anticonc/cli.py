@@ -143,8 +143,9 @@ def _dump_witness(args, failure: AssertionFailed) -> str:
 # One entry per checked inequality.  draw(args, rng) builds a seeded instance
 # as a dict of the checker's inputs, trial(instance) runs the library checker,
 # which raises AssertionFailed on a violated bound, and fixed(args) loads --in
-# and the check's flags and returns the report fields.  Entries look checkers
-# and samplers up by module-global name at call time, so patched names apply.
+# and the check's flags, every one of which a fixed instance needs, and returns
+# the report fields.  Entries look checkers and samplers up by module-global
+# name at call time, so patched names apply.
 
 
 class _Check(NamedTuple):
@@ -187,8 +188,6 @@ def _fixed_birnbaum(args) -> dict:
     dists = _load_dists(args.infile)
     if len(dists) != 3:
         raise UsageError(f"need exactly 3 distributions (X, Y, Y'), got {len(dists)}")
-    if args.k is None:
-        raise UsageError("give --k")
     return _sides(birnbaum_sides(*dists, args.k))
 
 
@@ -198,23 +197,10 @@ def _draw_balancing(args, rng: random.Random) -> dict:
     return {"dists": [sampling.random_dist(rng, dim=dim) for _ in range(n)]}
 
 
-def _fixed_balancing(args) -> dict:
-    if args.x is None:
-        raise UsageError("give --x")
-    return vars(balancing_bound(_load_dists(args.infile), _parse_point(args.x)))
-
-
 def _draw_theorem2(args, rng: random.Random) -> dict:
     alpha = as_fraction(args.alpha) if args.alpha else rng.choice(THEOREM2_LEVELS)
     n = rng.choice((2, 4))
     return {"alpha": alpha, "dists": [sampling.random_capped_dist(rng, alpha) for _ in range(n)]}
-
-
-def _fixed_theorem2(args) -> dict:
-    if args.alpha is None or args.x is None:
-        raise UsageError("give --alpha and --x")
-    dists = _load_dists(args.infile)
-    return _sides(search.quasi_uniform_bound_check(dists, as_fraction(args.alpha), _parse_point(args.x)))
 
 
 def _draw_monotone(args, rng: random.Random) -> dict:
@@ -243,7 +229,7 @@ CHECKS = {
         (("--x", {"help": "target point (fixed instance)"}),),
         _draw_balancing,
         lambda instance: balancing_bound(instance["dists"], _argmax(instance["dists"])),
-        _fixed_balancing,
+        lambda args: vars(balancing_bound(_load_dists(args.infile), _parse_point(args.x))),
     ),
     "theorem2": _Check(
         "hit probability versus alternating quasi-uniform ceiling",
@@ -251,7 +237,8 @@ CHECKS = {
         _draw_theorem2,
         lambda instance: search.quasi_uniform_bound_check(
             instance["dists"], instance["alpha"], _argmax(instance["dists"])),
-        _fixed_theorem2,
+        lambda args: _sides(search.quasi_uniform_bound_check(
+            _load_dists(args.infile), as_fraction(args.alpha), _parse_point(args.x))),
     ),
     "monotone": _Check(
         "largest atom never increases along prefix sums",
@@ -277,6 +264,9 @@ def _run_check(name: str, args) -> dict:
                 raise
         report = {"trials": args.trials, "seed": args.seed, "violations": 0}
     elif args.infile:
+        missing = [flag for flag, _ in check.flags if getattr(args, flag[2:]) is None]
+        if missing:
+            raise UsageError(f"give {' and '.join(missing)}")
         report = check.fixed(args)
     else:
         raise UsageError("give --in or --trials")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 
@@ -125,6 +127,7 @@ def _require_p(q):
 MAX_ATOMS = 4096
 MAX_SIGN_SUMMANDS = 24          # sign_vector_max forms n + 1 laws of up to n summands each
 MAX_WEIGHT_WORK = 50_000        # weight_grid_search: sorted weight tuples times n
+MAX_WEIGHT_ATOMS = 5_000_000    # weight_grid_search: predicted atoms of every sorted tuple's law, times n
 
 
 def _require_support(summands, width):
@@ -132,6 +135,32 @@ def _require_support(summands, width):
     atoms = summands * width
     if atoms > MAX_ATOMS:
         raise TooLarge(f"{summands} summands of {width} atoms predict {atoms} atoms, above the cap {MAX_ATOMS}")
+
+
+def _require_weight_work(values, n, atoms, spans):
+    """Cap a search over the sorted weight tuples of n iid summands by its predicted work.
+
+    The C(len(values) + n - 1, n) tuples times n must stay within
+    MAX_WEIGHT_WORK, and so must n times the predicted atoms of every tuple's
+    law within MAX_WEIGHT_ATOMS.  For a law of `atoms` atoms whose coordinates
+    span `spans`, sum_i w_i X_i has at most the smaller of two counts: the
+    product over distinct weights, each m times, of C(m + atoms - 1, atoms - 1)
+    multisets of atoms, and the points of its lattice box, the product over
+    coordinates of (L sum |w_i| span + 1), with L the lcm of the denominators.
+    """
+    tuples = math.comb(len(values) + n - 1, n)
+    if tuples * n > MAX_WEIGHT_WORK:
+        raise TooLarge(f"{tuples} sorted weight tuples of {n} summands predict {tuples * n} steps, "
+                       f"above the cap {MAX_WEIGHT_WORK}")
+    total = 0
+    for weights in itertools.combinations_with_replacement(values, n):
+        multisets = math.prod(math.comb(len(list(run)) + atoms - 1, atoms - 1)
+                              for _, run in itertools.groupby(weights))
+        scale = int(math.lcm(*(w.denominator for w in weights)) * sum(map(abs, weights)))
+        total += min(multisets, math.prod(scale * span + 1 for span in spans))
+    if total * n > MAX_WEIGHT_ATOMS:
+        raise TooLarge(f"{tuples} sorted weight tuples of {n} summands of {atoms} atoms predict "
+                       f"{total * n} atoms times n, above the cap {MAX_WEIGHT_ATOMS}")
 
 
 MAX_SCAN_STEPS = 5_000_000

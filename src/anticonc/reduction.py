@@ -82,7 +82,7 @@ def balancing_bound(dists: Sequence[Dist], x: PointLike) -> BalancingBound:
     rhs = [zero_mass[mu] for mu in dists]
     best_rhs = max(rhs)
     best_index = rhs.index(best_rhs)    # the first maximum: smallest index on ties
-    require_bound("balancing bound failed", lhs, best_rhs, x=target, index=best_index)
+    require_bound("balancing bound failed", lhs, best_rhs, dists=list(dists), x=target, index=best_index)
     return BalancingBound(best_index, lhs, best_rhs, lhs < best_rhs)
 
 

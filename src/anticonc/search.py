@@ -28,7 +28,6 @@ from .dist import (
 from .asymptotics import local_limit_exact
 from .errors import (
     MAX_SIGN_SUMMANDS,
-    MAX_WEIGHT_WORK,
     AssertionFailed,
     EvenN,
     ParamOutOfRange,
@@ -42,6 +41,7 @@ from .errors import (
     _require_p,
     _require_scan_work,
     _require_support,
+    _require_weight_work,
     require_bound,
 )
 
@@ -226,10 +226,7 @@ def weight_grid_search(dist: Dist, n: int, grid: Sequence[RationalLike]) -> Grid
         raise ParamOutOfRange("empty weight grid")
     if any(v == 0 for v in values):
         raise ZeroWeight("grid must not contain 0")
-    tuples = math.comb(len(values) + n - 1, n)
-    if tuples * n > MAX_WEIGHT_WORK:
-        raise TooLarge(f"{tuples} sorted weight tuples of {n} summands predict {tuples * n} steps, "
-                       f"above the cap {MAX_WEIGHT_WORK}")
+    _require_weight_work(values, n, len(dist.support), [max(c) - min(c) for c in zip(*dist.support)])
     sign_value, sign_vector = sign_vector_max(dist, n)
     seen: set[tuple[int, ...]] = set()
     best: tuple[Fraction, tuple[Fraction, ...], Point] | None = None
@@ -264,7 +261,7 @@ def quasi_uniform_bound_check(dists: Sequence[Dist], alpha: RationalLike, x: Poi
     target = as_point(x)
     lhs = convolve_all(dists).atom(target)
     rhs = local_limit_exact(len(dists), a)
-    require_bound("quasi-uniform ceiling failed", lhs, rhs, x=target, alpha=a)
+    require_bound("quasi-uniform ceiling failed", lhs, rhs, dists=list(dists), x=target, alpha=a)
     return lhs, rhs
 
 
@@ -280,6 +277,6 @@ def monotonicity_check(dists: Sequence[Dist]) -> tuple[Fraction, ...]:
     for i, mu in enumerate(dists[1:], start=2):
         acc = acc.convolve(mu)
         q = acc.concentration()[0]
-        require_bound("concentration maximum increased along a prefix", q, maxima[-1], prefix=i)
+        require_bound("concentration maximum increased along a prefix", q, maxima[-1], dists=list(dists), prefix=i)
         maxima.append(q)
     return tuple(maxima)

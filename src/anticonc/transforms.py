@@ -11,11 +11,12 @@ A centered sequence assigns a nonnegative rational to every lattice position
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .dist import Dist, RationalLike, as_fraction
+from .dist import Dist, RationalLike, as_fraction, convolve_all
 from .errors import DimensionMismatch, NotSymmetrizable, PreconditionViolated, require_bound
 
 _ZERO = Fraction(0)
@@ -30,7 +31,7 @@ class CenteredSeq:
     @staticmethod
     def from_values(values: Iterable[RationalLike]) -> "CenteredSeq":
         vals = tuple(as_fraction(v) for v in values)
-        if len(vals) % 2 == 0 or not vals:
+        if len(vals) % 2 == 0:
             raise ValueError(f"need an odd number of values, got {len(vals)}")
         if any(v < 0 for v in vals):
             raise ValueError("values must be nonnegative")
@@ -49,14 +50,9 @@ class CenteredSeq:
 
 
 def rearrange_left(seq: CenteredSeq) -> CenteredSeq:
-    """Largest value at 0, next on the negative side first."""
-    order = [0]
-    for i in range(1, seq.radius + 1):
-        order += [-i, i]
+    """Largest value at 0, then decreasing values at -1, 1, -2, 2, ..."""
     ordered = sorted(seq.values, reverse=True)
-    placed = dict(zip(order, ordered))
-    k = seq.radius
-    return CenteredSeq(tuple(placed[i] for i in range(-k, k + 1)))
+    return CenteredSeq(tuple(ordered[1::2][::-1] + ordered[:1] + ordered[2::2]))
 
 
 def rearrange_right(seq: CenteredSeq) -> CenteredSeq:
@@ -67,39 +63,32 @@ def rearrange_right(seq: CenteredSeq) -> CenteredSeq:
 def rearrange_symmetric(seq: CenteredSeq) -> CenteredSeq:
     """Symmetric decreasing rearrangement, when one exists.
 
-    After placing the largest value at 0, the remaining values must pair up
-    exactly so that positions -i and i can carry equal values.
+    It exists exactly when the left rearrangement reads the same backwards;
+    otherwise the value at -i, for the smallest i whose positions -i and i
+    differ, is reported as the one that cannot be paired.
     """
-    ordered = sorted(seq.values, reverse=True)
-    k = seq.radius
-    out = {0: ordered[0]}
-    for i in range(1, k + 1):
-        a, b = ordered[2 * i - 1], ordered[2 * i]
+    out = rearrange_left(seq)
+    k = out.radius
+    for a, b in zip(reversed(out.values[:k]), out.values[k + 1:]):
         if a != b:
             raise NotSymmetrizable(a)
-        out[i] = out[-i] = a
-    return CenteredSeq(tuple(out[i] for i in range(-k, k + 1)))
+    return out
 
 
 def is_symmetrizable(seq: CenteredSeq) -> bool:
-    try:
-        rearrange_symmetric(seq)
-    except NotSymmetrizable:
-        return False
-    return True
+    values = rearrange_left(seq).values
+    return values == values[::-1]
 
 
 def _zero_sum_coefficient(seqs: Sequence[CenteredSeq]) -> Fraction:
-    # coefficient of position 0 in the formal convolution of the sequences
-    acc = {0: Fraction(1)}
-    for seq in seqs:
-        nxt: dict[int, Fraction] = {}
-        for pos, val in acc.items():
-            for i, v in enumerate(seq.values, -seq.radius):
-                if v != 0:
-                    nxt[pos + i] = nxt.get(pos + i, _ZERO) + val * v
-        acc = nxt
-    return acc.get(0, _ZERO)
+    # coefficient of position 0 in the formal convolution of the sequences: the
+    # product of their totals times the hit probability at 0 of the normalized laws
+    totals = [sum(seq.values) for seq in seqs]
+    if not all(totals):
+        return _ZERO
+    laws = [Dist.from_entries((i, v / t) for i, v in enumerate(seq.values, -seq.radius))
+            for seq, t in zip(seqs, totals)]
+    return math.prod(totals) * convolve_all(laws).atom(0)
 
 
 def gabriel_sides(seqs: Sequence[CenteredSeq]) -> tuple[Fraction, Fraction]:

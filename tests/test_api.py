@@ -2,7 +2,8 @@
 
 The optional parameters of the public callables are pinned too, so a new
 knob has to be listed here, and each parameter domain has one validator
-whose message every guard of that domain shares.
+whose message every guard of that domain shares.  The guards that only a
+direct call reaches are checked for their exception type and message.
 
 `perfbench/tracing.py` wraps every public function of every anticonc module
 and the `Dist` methods it names, and sorts each span into a per-layer group.
@@ -19,9 +20,12 @@ from pathlib import Path
 import pytest
 
 import anticonc
-from anticonc import Dist, alternating_bernoulli, bernoulli, binomial, default_p_grid, k_phase_scan, self_convolve
+from anticonc import (Dist, alternating_bernoulli, bernoulli, binomial, birnbaum_sides, convolve_all,
+                      default_p_grid, k_phase_scan, peakedness_dominates, self_convolve, uniform_on,
+                      weight_grid_search)
 from anticonc import sampling
-from anticonc.errors import ParamOutOfRange, _require_at_least, _require_p
+from anticonc.errors import (AssertionFailed, DimensionMismatch, ParamOutOfRange, _require_at_least, _require_p,
+                             require_bound)
 
 PUBLIC = [
     "AgmStep", "BalancingBound", "CenteredSeq", "Dist", "Extremal", "GridSearchResult", "KScanResult", "Mixture",
@@ -95,3 +99,32 @@ def test_guards_share_their_domain_validator(call, validator):
     with pytest.raises(ParamOutOfRange) as raised:
         call()
     assert str(raised.value) == str(shared.value)
+
+
+PLANE = Dist.from_entries([((0, 0), F(1, 2)), ((1, 1), F(1, 2))])
+
+
+@pytest.mark.parametrize("call, kind, message", [
+    (lambda: Dist.from_entries([]), ValueError, "no atoms given"),
+    (lambda: uniform_on([]), ValueError, "no points given"),
+    (lambda: convolve_all([]), ValueError, "need at least one distribution"),
+    (lambda: PLANE.interval_prob(1), DimensionMismatch, "interval probabilities need dimension 1"),
+    (lambda: PLANE.is_unimodal(), DimensionMismatch, "unimodality is defined here for dimension 1"),
+    (lambda: PLANE.mean(), DimensionMismatch, "moments are defined here for dimension 1"),
+    (lambda: PLANE.shift((1,)), DimensionMismatch, "shift (1,) has dim 1, expected 2"),
+    (lambda: peakedness_dominates(PLANE, PLANE), DimensionMismatch, "peakedness comparisons need dimension 1"),
+    (lambda: birnbaum_sides(PLANE, PLANE, PLANE, 1), DimensionMismatch, "peakedness comparisons need dimension 1"),
+    (lambda: weight_grid_search(bernoulli(F(1, 2)), 2, []), ParamOutOfRange, "empty weight grid"),
+    (lambda: require_bound("m", 2, 1, x=1), AssertionFailed, "m"),
+], ids=["from_entries", "uniform_on", "convolve_all", "interval_prob", "is_unimodal", "mean", "shift",
+        "peakedness_dominates", "birnbaum_sides", "weight_grid_search", "require_bound"])
+def test_guards_raise_their_type_and_message(call, kind, message):
+    with pytest.raises(kind) as raised:
+        call()
+    assert str(raised.value) == message
+
+
+def test_a_violated_bound_carries_its_witness_then_both_sides():
+    with pytest.raises(AssertionFailed) as raised:
+        require_bound("m", 2, 1, x=1)
+    assert list(raised.value.witness.items()) == [("x", 1), ("lhs", 2), ("rhs", 1)]

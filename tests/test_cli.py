@@ -1,8 +1,13 @@
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -272,6 +277,17 @@ class TestScanCommands:
         assert payload["exceeds_signs"] is False
         assert payload["value"] == payload["sign_value"] == "7/27"
 
+    def test_weights_on_a_spread_law_is_refused_by_its_predicted_atoms(self, tmp_path, capsys):
+        # 1,287 sorted tuples pass the tuple cap, but weighted sums of this law keep their atoms
+        # apart, so the search would run about 16 s
+        spread = uniform_on([0, 1, 100, 10000])
+        path = write_dists(tmp_path, "spread.json", spread)
+        start = time.perf_counter()
+        code, _, err = run(capsys, "scan", "weights", "--in", path, "--n", "8", "--grid-values=1,2,3,5,7,11")
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert "predict 63109800 atoms times n, above the cap 5000000" in err
+
 
 class TestErrorPaths:
     def test_bad_rational_is_usage_error(self, capsys):
@@ -322,6 +338,8 @@ class TestErrorPaths:
         assert json.loads(witness.read_text())["error"] == "forced"
 
 
+PAIR = '{"dim":1,"atoms":[[[0],"1/2"],[[1],"1/2"]]}'
+
 MALFORMED = [
     # (text of the --in file or None, command line; {in} is that file)
     ('{"dim":1,"atoms":[[[0],"0.5"],[[1],"1/2"]]}', "dist q --in {in}"),
@@ -355,9 +373,24 @@ MALFORMED = [
     ('{"dim":1,"atoms":[[[0],"1/2"],[[1],"1/2"]]}', "dist q --in {in} --format json"),
 ]
 
+# Rows whose guard the rows above never reach, each with its message, which
+# tells it from the error that follows if the guard is gone.
+GUARDED = [
+    (PAIR, "dist atom --in {in} --x 1,a", "not a lattice point: '1,a'"),
+    ("{", "dist q --in {in}", "invalid JSON"),
+    (None, "rearrange left", "give --values or --in"),
+    (None, "asym wagner --n 5 --b 1 --c=-1", "coefficients must be positive"),
+    ('[{"dim":1,"atoms":[[[0],"1/1"]]},{"dim":2,"atoms":[[[0,0],"1/1"]]}]', "check monotone --in {in}",
+     "distributions must share one dimension"),
+    # a fixed instance needs every flag of its check, and the message names the missing ones
+    (f"[{PAIR},{PAIR}]", "check birnbaum --in {in}", "error: give --k\n"),
+    (f"[{PAIR},{PAIR}]", "check balancing --in {in}", "error: give --x\n"),
+    (f"[{PAIR},{PAIR}]", "check theorem2 --in {in} --x 0", "error: give --alpha\n"),
+    (f"[{PAIR},{PAIR}]", "check theorem2 --in {in}", "error: give --alpha and --x\n"),
+]
 
-@pytest.mark.parametrize("text, command", MALFORMED)
-def test_malformed_input_exits_1_without_traceback(tmp_path, capsys, text, command):
+
+def _run_malformed(tmp_path, capsys, text, command):
     path = tmp_path / "in.json"
     if text is not None:
         path.write_text(text)
@@ -365,6 +398,17 @@ def test_malformed_input_exits_1_without_traceback(tmp_path, capsys, text, comma
     assert code == 1
     assert "error:" in err
     assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("text, command", MALFORMED)
+def test_malformed_input_exits_1_without_traceback(tmp_path, capsys, text, command):
+    _run_malformed(tmp_path, capsys, text, command)
+
+
+@pytest.mark.parametrize("text, command, message", GUARDED)
+def test_guard_names_the_fault(tmp_path, capsys, text, command, message):
+    assert message in _run_malformed(tmp_path, capsys, text, command)
 
 
 @pytest.mark.parametrize("sub, checker, instance_keys", [
@@ -389,3 +433,38 @@ def test_trial_witness_can_be_replayed(tmp_path, capsys, monkeypatch, sub, check
     instance = cli.CHECKS[sub].draw(build_parser().parse_args(argv), random.Random(payload["seed"]))
     assert sorted(instance) == sorted(instance_keys)
     assert {key: payload[key] for key in instance_keys} == cli._jsonable(instance)
+
+
+@pytest.mark.parametrize("sub, flags, checker", [
+    ("balancing", ["--x", "0"], "anticonc.reduction.require_bound"),
+    ("theorem2", ["--alpha", "1/2", "--x", "0"], "anticonc.search.require_bound"),
+    ("monotone", [], "anticonc.search.require_bound"),
+])
+def test_fixed_instance_witness_holds_the_input_laws(tmp_path, capsys, monkeypatch, sub, flags, checker):
+    def always(message, lhs, rhs, **witness):
+        raise AssertionFailed(message, witness={**witness, "lhs": lhs, "rhs": rhs})
+
+    monkeypatch.setattr(checker, always)
+    laws = [bernoulli(F(1, 2)), uniform_on([0, 2])]
+    path = write_dists(tmp_path, "pair.json", *laws)
+    witness = tmp_path / "w.json"
+    code, _, _ = run(capsys, "check", sub, "--in", path, *flags, "--witness", str(witness))
+    assert code == 2
+    payload = json.loads(witness.read_text())["witness"]
+    assert next(iter(payload)) == "dists"
+    assert [Dist.from_json_obj(law) for law in payload["dists"]] == laws
+
+
+def test_module_entry_point(capsys):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "anticonc", *argv], env=env, capture_output=True, text=True)
+
+    ok = module("family", "binom", "--n", "2", "--p", "1/3")
+    assert ok.returncode == 0
+    assert ok.stdout == run(capsys, "family", "binom", "--n", "2", "--p", "1/3")[1]
+    bad = module("family", "binom", "--n", "-1", "--p", "1/3")
+    assert bad.returncode == 1
+    assert "error:" in bad.stderr

@@ -25,6 +25,7 @@ from anticonc import (
     weight_grid_search,
     weighted_sum,
 )
+from anticonc import errors
 from anticonc.errors import EvenN, OddN, ParamOutOfRange, QTooLarge, TooLarge, ZeroWeight
 from anticonc.sampling import random_capped_dist, random_dist
 
@@ -214,6 +215,21 @@ class TestWeightGridSearch:
         msg = "11628 sorted weight tuples of 14 summands predict 162792 steps, above the cap 50000"
         with pytest.raises(TooLarge, match=msg):
             weight_grid_search(bernoulli(F(1, 2)), 14, [F(v) for v in range(1, 7)])
+
+    def test_atom_budget_never_undercounts(self, monkeypatch):
+        # every sorted tuple's law has at most its predicted atoms, so a cap one below
+        # n times their real total always refuses the search
+        rng = random.Random(3)
+        for dim in (1, 2):
+            for _ in range(25):
+                d = random_dist(rng, dim=dim)
+                grid = sorted({F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)) for _ in range(3)})
+                n = rng.randint(1, 4)
+                real = n * sum(len(weighted_sum(weights, [d] * n).dist.support)
+                               for weights in itertools.combinations_with_replacement(grid, n))
+                monkeypatch.setattr(errors, "MAX_WEIGHT_ATOMS", real - 1)
+                with pytest.raises(TooLarge, match="atoms times n, above the cap"):
+                    weight_grid_search(d, n, grid)
 
 
 class TestQuasiUniformBoundCheck:
