@@ -13,8 +13,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dist import RationalLike, _alternating_zero, as_fraction
-from .errors import ParamOutOfRange, _require_at_least, _require_p, _require_support
+from .errors import ParamOutOfRange, _require_at_least, _require_p, _require_positive_coeffs, _require_support
 from .families import alternating_bernoulli, quasi_uniform, quasi_uniform_variance
+
+__all__ = [
+    "OddTailRatios",
+    "alternating_zero_asym",
+    "alternating_zero_exact",
+    "local_limit_bound",
+    "middle_coeff_asym",
+    "middle_coeff_exact",
+    "odd_tail_ratios",
+    "small_dev_ratio_approx",
+    "small_dev_ratio_exact",
+]
 
 
 def local_limit_bound(n: int, alpha: RationalLike) -> float:
@@ -82,9 +94,7 @@ def middle_coeff_exact(n: int, b: RationalLike, c: RationalLike) -> Fraction:
     """Central coefficient of (x^2 + b x + c)^n: x^n takes x^2 from i factors,
     c from i and b x from n - 2i, so it is sum_i C(n, 2i) C(2i, i) b^(n-2i) c^i."""
     _require_at_least("n", n, 1)
-    bf, cf = as_fraction(b), as_fraction(c)
-    if bf <= 0 or cf <= 0:
-        raise ParamOutOfRange("coefficients must be positive")
+    bf, cf = _require_positive_coeffs(as_fraction(b), as_fraction(c))
     return sum(math.comb(n, 2 * i) * math.comb(2 * i, i) * bf ** (n - 2 * i) * cf**i for i in range(n // 2 + 1))
 
 
@@ -95,9 +105,7 @@ def middle_coeff_asym(n: int, b: RationalLike, c: RationalLike) -> float:
         * (1 + (b - 4 sqrt(c)) / (16 n sqrt(c)))
     """
     _require_at_least("n", n, 1)
-    bf, cf = float(as_fraction(b)), float(as_fraction(c))
-    if bf <= 0 or cf <= 0:
-        raise ParamOutOfRange("coefficients must be positive")
+    bf, cf = _require_positive_coeffs(float(as_fraction(b)), float(as_fraction(c)))
     root = math.sqrt(cf)
     try:
         lead = (bf + 2.0 * root) ** (n + 0.5) / (2.0 * cf**0.25 * math.sqrt(math.pi * n))

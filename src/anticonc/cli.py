@@ -21,7 +21,7 @@ import io
 import json
 import random
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -107,7 +107,7 @@ def _jsonable(value):
     if isinstance(value, CenteredSeq):
         return [format_fraction(v) for v in value.values]
     if is_dataclass(value) and not isinstance(value, type):
-        return {k: _jsonable(v) for k, v in asdict(value).items()}
+        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -252,6 +252,8 @@ CHECKS = {
 
 def _run_check(name: str, args) -> dict:
     check = CHECKS[name]
+    if args.trials is not None and args.infile is not None:
+        raise UsageError("give --in or --trials, not both")
     if args.trials is not None:
         _require_at_least("trials", args.trials, 1)
         rng = random.Random(args.seed)
@@ -477,8 +479,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         _emit(args, args.run(args))
     except AssertionFailed as exc:
-        path = _dump_witness(args, exc)
-        print(f"violated: {exc} (witness written to {path})", file=sys.stderr)
+        try:
+            note = f"witness written to {_dump_witness(args, exc)}"
+        except OSError as error:
+            note = f"witness not written: {error}"
+        print(f"violated: {exc} ({note})", file=sys.stderr)
         return 2
     except (UsageError, OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,6 +20,20 @@ from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import DimensionMismatch, MassNotOne, NegativeMass, ZeroWeight, _require_at_least, _require_common_dim
 
+__all__ = [
+    "Dist",
+    "Point",
+    "ScaledDist",
+    "as_fraction",
+    "as_point",
+    "convolve_all",
+    "delta",
+    "format_fraction",
+    "self_convolve",
+    "uniform_on",
+    "weighted_sum",
+]
+
 Point = tuple[int, ...]
 RationalLike = Union[Fraction, int, str]
 PointLike = Union[int, Sequence[int]]

@@ -17,6 +17,16 @@ from .dist import Dist, PointLike, RationalLike, _canonical, as_fraction, as_poi
 from .errors import (ParamOutOfRange, RestPointInSupport, WrongSupportSize, _require_alpha, _require_at_least,
                      _require_p, _require_support)
 
+__all__ = [
+    "alternating_bernoulli",
+    "bernoulli",
+    "binomial",
+    "extreme_point_measure",
+    "quasi_uniform",
+    "quasi_uniform_variance",
+    "signed_binomial_diff",
+]
+
 
 def quasi_uniform(alpha: RationalLike) -> Dist:
     """Flattest law with largest atom exactly alpha.

@@ -17,6 +17,16 @@ from .dist import Dist, Point, PointLike, RationalLike, _alternating_zero, as_fr
 from .errors import AssertionFailed, QTooLarge, _require_alpha, _require_common_dim, _require_even, require_bound
 from .families import extreme_point_measure
 
+__all__ = [
+    "AgmStep",
+    "BalancingBound",
+    "Extremal",
+    "Mixture",
+    "agm_step",
+    "balancing_bound",
+    "extreme_decompose",
+]
+
 
 @dataclass(frozen=True)
 class AgmStep:

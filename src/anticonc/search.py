@@ -41,9 +41,23 @@ from .errors import (
     _require_p,
     _require_scan_work,
     _require_support,
+    _require_weight_atoms,
     _require_weight_work,
     require_bound,
 )
+
+__all__ = [
+    "GridSearchResult",
+    "KScanResult",
+    "PhaseDiagram",
+    "default_p_grid",
+    "k_phase_scan",
+    "monotonicity_check",
+    "optimal_k_scan",
+    "quasi_uniform_bound_check",
+    "sign_vector_max",
+    "weight_grid_search",
+]
 
 
 @dataclass(frozen=True)
@@ -218,7 +232,8 @@ def weight_grid_search(dist: Dist, n: int, grid: Sequence[RationalLike]) -> Grid
     evaluated once.  Because the summands are iid, the smallest tuple of an
     orbit in lexicographic order is sorted, so only sorted tuples are
     enumerated, in lexicographic order; the first one met represents its
-    orbit, making the reported witness the smallest maximizer.
+    orbit, making the reported witness the smallest maximizer.  The atom
+    budget is taken over these representatives before any law is built.
     """
     _require_at_least("n", n, 1)
     values = sorted({as_fraction(g) for g in grid})
@@ -226,15 +241,15 @@ def weight_grid_search(dist: Dist, n: int, grid: Sequence[RationalLike]) -> Grid
         raise ParamOutOfRange("empty weight grid")
     if any(v == 0 for v in values):
         raise ZeroWeight("grid must not contain 0")
-    _require_weight_work(values, n, len(dist.support), [max(c) - min(c) for c in zip(*dist.support)])
-    sign_value, sign_vector = sign_vector_max(dist, n)
-    seen: set[tuple[int, ...]] = set()
-    best: tuple[Fraction, tuple[Fraction, ...], Point] | None = None
+    _require_weight_work(len(values), n)
+    orbits: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
     for tup in itertools.combinations_with_replacement(values, n):
-        key = _weight_orbit_key(tup)
-        if key in seen:
-            continue
-        seen.add(key)
+        orbits.setdefault(_weight_orbit_key(tup), tup)
+    tuples = list(orbits.values())
+    _require_weight_atoms(tuples, n, len(dist.support), [max(c) - min(c) for c in zip(*dist.support)])
+    sign_value, sign_vector = sign_vector_max(dist, n)
+    best: tuple[Fraction, tuple[Fraction, ...], Point] | None = None
+    for tup in tuples:
         law = weighted_sum(tup, [dist] * n).dist
         value, argmax = law.concentration()
         if best is None or value > best[0]:

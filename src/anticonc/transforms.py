@@ -19,6 +19,17 @@ from typing import Iterable, Sequence
 from .dist import Dist, RationalLike, as_fraction, convolve_all
 from .errors import DimensionMismatch, NotSymmetrizable, PreconditionViolated, require_bound
 
+__all__ = [
+    "CenteredSeq",
+    "birnbaum_sides",
+    "gabriel_sides",
+    "is_symmetrizable",
+    "peakedness_dominates",
+    "rearrange_left",
+    "rearrange_right",
+    "rearrange_symmetric",
+]
+
 _ZERO = Fraction(0)
 
 

@@ -57,6 +57,17 @@ def test_public_names_are_pinned_and_resolve():
         assert getattr(anticonc, name) is not None
 
 
+def test_each_module_declares_the_names_it_exports():
+    # the package's list is the union of its modules' lists, each name in exactly one
+    modules = [anticonc.asymptotics, anticonc.dist, anticonc.families, anticonc.reduction, anticonc.search,
+               anticonc.transforms]
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names))
+    assert sorted(names) == PUBLIC
+    for module in modules:
+        assert all(getattr(anticonc, name) is getattr(module, name) for name in module.__all__)
+
+
 def test_tracer_knows_every_span():
     tracing = _load_tracing()
     tracing.Tracer()   # reads Dist.__dict__[name] for every traced method

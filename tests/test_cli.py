@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from anticonc import Dist, bernoulli, cli, uniform_on
+from anticonc import Dist, bernoulli, cli, delta, extreme_decompose, uniform_on
 from anticonc.cli import _dump_witness, build_parser, main
 from anticonc.errors import AssertionFailed
 
@@ -123,6 +123,13 @@ class TestCheckCommands:
         assert report["holds"] is True
         assert F(report["lhs"]) <= F(report["rhs"])
 
+    def test_gabriel_with_a_zero_sequence(self, tmp_path, capsys):
+        # a sequence of total 0 makes both zero-sum coefficients 0, with no law to normalize
+        path = tmp_path / "seqs.json"
+        path.write_text('[["0"], ["1/2"]]')
+        code, out, _ = run(capsys, "check", "gabriel", "--in", str(path))
+        assert (code, json.loads(out)) == (0, {"lhs": "0/1", "rhs": "0/1", "holds": True})
+
     def test_trials_mode(self, capsys):
         for sub in ("gabriel", "birnbaum", "balancing", "theorem2", "monotone"):
             code, out, _ = run(capsys, "check", sub, "--trials", "10", "--seed", "3")
@@ -158,6 +165,10 @@ class TestDecompose:
         code, out, _ = run(capsys, "decompose", "--in", path, "--alpha", "1/2")
         assert code == 0
         assert json.loads(out) == {"kind": "extremal", "alpha": "1/2", "points": [[4], [7]], "rest": None}
+
+    def test_a_law_inside_a_result_is_written_canonically(self):
+        result = extreme_decompose(Dist.from_entries([(0, "1/2"), (1, "3/10"), (2, "1/5")]), F(1, 2))
+        assert cli._jsonable(result)["mu1"] == result.mu1.to_json_obj()
 
 
 class TestAsymCommands:
@@ -278,15 +289,15 @@ class TestScanCommands:
         assert payload["value"] == payload["sign_value"] == "7/27"
 
     def test_weights_on_a_spread_law_is_refused_by_its_predicted_atoms(self, tmp_path, capsys):
-        # 1,287 sorted tuples pass the tuple cap, but weighted sums of this law keep their atoms
-        # apart, so the search would run about 16 s
+        # 1,287 sorted tuples pass the tuple cap, but the laws of their 1,282 orbits keep this
+        # law's atoms apart, so the search would run about 16 s
         spread = uniform_on([0, 1, 100, 10000])
         path = write_dists(tmp_path, "spread.json", spread)
         start = time.perf_counter()
         code, _, err = run(capsys, "scan", "weights", "--in", path, "--n", "8", "--grid-values=1,2,3,5,7,11")
         assert time.perf_counter() - start < 1
         assert code == 1
-        assert "predict 63109800 atoms times n, above the cap 5000000" in err
+        assert "predict 63103200 atoms times n, above the cap 5000000" in err
 
 
 class TestErrorPaths:
@@ -336,6 +347,18 @@ class TestErrorPaths:
         assert code == 2
         assert "violated" in err
         assert json.loads(witness.read_text())["error"] == "forced"
+
+    def test_unwritable_witness_still_reports_the_violation(self, tmp_path, capsys, monkeypatch):
+        def broken(dists):
+            raise AssertionFailed("forced", witness={"lhs": F(1), "rhs": F(0)})
+
+        monkeypatch.setattr("anticonc.search.monotonicity_check", broken)
+        witness = tmp_path / "no" / "such" / "w.json"
+        code, _, err = run(capsys, "check", "monotone", "--trials", "1", "--witness", str(witness))
+        assert code == 2
+        assert err.startswith("violated: forced (witness not written: [Errno 2] No such file or directory: ")
+        assert "Traceback" not in err
+        assert not witness.parent.exists()
 
 
 PAIR = '{"dim":1,"atoms":[[[0],"1/2"],[[1],"1/2"]]}'
@@ -387,6 +410,10 @@ GUARDED = [
     (f"[{PAIR},{PAIR}]", "check balancing --in {in}", "error: give --x\n"),
     (f"[{PAIR},{PAIR}]", "check theorem2 --in {in} --x 0", "error: give --alpha\n"),
     (f"[{PAIR},{PAIR}]", "check theorem2 --in {in}", "error: give --alpha and --x\n"),
+    (f"[{PAIR},{PAIR}]", "check birnbaum --in {in} --k 0", "need exactly 3 distributions (X, Y, Y'), got 2"),
+    ("[]", "check monotone --in {in}", "need at least one distribution"),
+    # a fixed instance and a seeded batch are exclusive; the file is not read, so it need not exist
+    (None, "check balancing --in {in} --trials 2", "error: give --in or --trials, not both\n"),
 ]
 
 
@@ -453,6 +480,33 @@ def test_fixed_instance_witness_holds_the_input_laws(tmp_path, capsys, monkeypat
     payload = json.loads(witness.read_text())["witness"]
     assert next(iter(payload)) == "dists"
     assert [Dist.from_json_obj(law) for law in payload["dists"]] == laws
+
+
+# The identity checks that raise AssertionFailed themselves, each forced through a
+# patched helper: (helper, replacement, text of in.json or None, command, message, witness keys).
+IDENTITY_FAILURES = [
+    ("anticonc.search._next_split", lambda row, a, c: [0] * (len(row) - 1) + [1], None,
+     "scan kphase --n 3 --grid 2", "mode left the floor/ceil window of the mean",
+     ["n", "k", "p", "mode", "candidates"]),
+    ("anticonc.reduction.extreme_point_measure", lambda alpha, points, rest=None: delta(points[0]),
+     '{"dim":1,"atoms":[[[0],"1/2"],[[1],"2/5"],[[2],"1/10"]]}', "decompose --in in.json --alpha 1/2",
+     "decomposition failed to reconstruct the measure", ["mu", "p", "mu1", "mu2"]),
+]
+
+
+@pytest.mark.parametrize("helper, fake, text, command, message, keys", IDENTITY_FAILURES, ids=["kphase", "decompose"])
+def test_identity_failure_exits_2_with_its_witness(tmp_path, capsys, monkeypatch, helper, fake, text, command,
+                                                    message, keys):
+    monkeypatch.setattr(helper, fake)
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "in.json").write_text(text)
+    code, _, err = run(capsys, *command.split())
+    assert code == 2
+    assert err == f"violated: {message} (witness written to witness.json)\n"
+    payload = json.loads((tmp_path / "witness.json").read_text())
+    assert payload["error"] == message
+    assert list(payload["witness"]) == keys
 
 
 def test_module_entry_point(capsys):

@@ -20,7 +20,8 @@ from anticonc import (
     quasi_uniform,
     uniform_on,
 )
-from anticonc.errors import AlphaOutOfRange, OddN, QTooLarge
+from anticonc import reduction
+from anticonc.errors import AlphaOutOfRange, AssertionFailed, OddN, QTooLarge
 from anticonc.sampling import random_capped_dist, random_dist
 
 from conftest import dists, fractions_in_unit
@@ -61,6 +62,13 @@ class TestAgmStep:
     def test_bound_holds(self, a, b):
         step = agm_step([a], [b])
         assert step.joint_zero <= max(step.first_sym_zero, step.second_sym_zero)
+
+    def test_a_failed_bound_raises_with_its_witness(self, monkeypatch):
+        monkeypatch.setattr(reduction, "_alternating_zero", lambda mu, n: F(0))
+        b = bernoulli(F(1, 3))
+        with pytest.raises(AssertionFailed, match="^split-and-symmetrize bound failed$") as raised:
+            agm_step([b], [b])
+        assert raised.value.witness == {"joint": F(4, 9), "first": F(0), "second": F(0), "mirror": False}
 
 
 class TestBalancingBound:
@@ -155,6 +163,16 @@ class TestExtremeDecompose:
         for pt in {*result.mu1.support, *result.mu2.support}:
             rebuilt[pt] = result.p * result.mu1.atom(pt) + (1 - result.p) * result.mu2.atom(pt)
         assert rebuilt == dict(uniform_on([0, 1, 2]).atoms)
+
+    def test_a_failed_reconstruction_raises_with_its_witness(self, monkeypatch):
+        # a wrong extreme point stretches mu1 to 3/5 at 1, past the cap 1/2
+        monkeypatch.setattr(reduction, "extreme_point_measure", lambda alpha, points, rest=None: delta(points[0]))
+        mu = Dist.from_entries([(0, "1/2"), (1, "2/5"), (2, "1/10")])
+        with pytest.raises(AssertionFailed, match="^decomposition failed to reconstruct the measure$") as raised:
+            extreme_decompose(mu, F(1, 2))
+        mu1 = Dist.from_entries([(0, "1/4"), (1, "3/5"), (2, "3/20")])
+        assert raised.value.witness == {
+            "mu": mu.to_json_obj(), "p": F(2, 3), "mu1": mu1.to_json_obj(), "mu2": delta(0).to_json_obj()}
 
     def test_cap_violation_rejected(self):
         with pytest.raises(QTooLarge):

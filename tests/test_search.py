@@ -25,8 +25,8 @@ from anticonc import (
     weight_grid_search,
     weighted_sum,
 )
-from anticonc import errors
-from anticonc.errors import EvenN, OddN, ParamOutOfRange, QTooLarge, TooLarge, ZeroWeight
+from anticonc import errors, search
+from anticonc.errors import AssertionFailed, EvenN, OddN, ParamOutOfRange, QTooLarge, TooLarge, ZeroWeight
 from anticonc.sampling import random_capped_dist, random_dist
 
 
@@ -104,6 +104,13 @@ class TestOptimalKScan:
                     mean = (n - 2 * k) * p
                     _, (mode,) = d.concentration()
                     assert mode in {math.floor(mean), math.ceil(mean)}
+
+    def test_a_mode_outside_the_window_raises(self, monkeypatch):
+        # a ladder step that puts every mass on the top point moves row 1's mode to 2
+        monkeypatch.setattr(search, "_next_split", lambda row, a, c: [0] * (len(row) - 1) + [1])
+        with pytest.raises(AssertionFailed, match="^mode left the floor/ceil window of the mean$") as raised:
+            optimal_k_scan(3, F(1, 4))
+        assert raised.value.witness == {"n": 3, "k": 1, "p": F(1, 4), "mode": 2, "candidates": (0, 1)}
 
 
 class TestKPhaseScan:
@@ -217,16 +224,26 @@ class TestWeightGridSearch:
             weight_grid_search(bernoulli(F(1, 2)), 14, [F(v) for v in range(1, 7)])
 
     def test_atom_budget_never_undercounts(self, monkeypatch):
-        # every sorted tuple's law has at most its predicted atoms, so a cap one below
-        # n times their real total always refuses the search
+        # every law the search builds, one per orbit, has at most its predicted atoms, so a
+        # cap one below n times their real total always refuses the search
+        supports = []
+
+        def recorded(weights, components):
+            scaled = weighted_sum(weights, components)
+            supports.append(len(scaled.dist.support))
+            return scaled
+
+        monkeypatch.setattr(search, "weighted_sum", recorded)
         rng = random.Random(3)
         for dim in (1, 2):
             for _ in range(25):
                 d = random_dist(rng, dim=dim)
                 grid = sorted({F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)) for _ in range(3)})
                 n = rng.randint(1, 4)
-                real = n * sum(len(weighted_sum(weights, [d] * n).dist.support)
-                               for weights in itertools.combinations_with_replacement(grid, n))
+                supports.clear()
+                monkeypatch.setattr(errors, "MAX_WEIGHT_ATOMS", math.inf)
+                weight_grid_search(d, n, grid)
+                real = n * sum(supports)
                 monkeypatch.setattr(errors, "MAX_WEIGHT_ATOMS", real - 1)
                 with pytest.raises(TooLarge, match="atoms times n, above the cap"):
                     weight_grid_search(d, n, grid)
