@@ -105,7 +105,9 @@ def middle_coeff_asym(n: int, b: RationalLike, c: RationalLike) -> float:
         * (1 + (b - 4 sqrt(c)) / (16 n sqrt(c)))
     """
     _require_at_least("n", n, 1)
-    bf, cf = _require_positive_coeffs(float(as_fraction(b)), float(as_fraction(c)))
+    bf, cf = map(float, _require_positive_coeffs(as_fraction(b), as_fraction(c)))
+    if bf == 0 or cf == 0:
+        raise ParamOutOfRange("a positive coefficient is below the float range")
     root = math.sqrt(cf)
     try:
         lead = (bf + 2.0 * root) ** (n + 0.5) / (2.0 * cf**0.25 * math.sqrt(math.pi * n))

@@ -80,12 +80,12 @@ def _load_seqs(path: str) -> list[CenteredSeq]:
 
 
 def _seq(args) -> CenteredSeq:
+    if (args.values is None) == (args.infile is None):
+        raise UsageError("give --values or --in" + ("" if args.values is None else ", not both"))
     if args.values is not None:
         return CenteredSeq.from_values(args.values.split(","))
-    if args.infile is not None:
-        (seq,) = _load_seqs(args.infile)
-        return seq
-    raise UsageError("give --values or --in")
+    (seq,) = _load_seqs(args.infile)
+    return seq
 
 
 # -- output -----------------------------------------------------------------
@@ -144,8 +144,9 @@ def _dump_witness(args, failure: AssertionFailed) -> str:
 # as a dict of the checker's inputs, trial(instance) runs the library checker,
 # which raises AssertionFailed on a violated bound, and fixed(args) loads --in
 # and the check's flags, every one of which a fixed instance needs, and returns
-# the report fields.  Entries look checkers and samplers up by module-global
-# name at call time, so patched names apply.
+# the report fields; --trials refuses the flags that are not `drawn`, and --in
+# the --seed.  Entries look checkers and samplers up by module-global name at
+# call time, so patched names apply.
 
 
 class _Check(NamedTuple):
@@ -154,6 +155,7 @@ class _Check(NamedTuple):
     draw: Callable[[argparse.Namespace, random.Random], dict]
     trial: Callable[[dict], object]
     fixed: Callable[[argparse.Namespace], dict]
+    drawn: tuple[str, ...] = ()
 
 
 def _argmax(dists: list[Dist]) -> tuple[int, ...]:
@@ -239,6 +241,7 @@ CHECKS = {
             instance["dists"], instance["alpha"], _argmax(instance["dists"])),
         lambda args: _sides(search.quasi_uniform_bound_check(
             _load_dists(args.infile), as_fraction(args.alpha), _parse_point(args.x))),
+        drawn=("--alpha",),
     ),
     "monotone": _Check(
         "largest atom never increases along prefix sums",
@@ -252,26 +255,31 @@ CHECKS = {
 
 def _run_check(name: str, args) -> dict:
     check = CHECKS[name]
-    if args.trials is not None and args.infile is not None:
-        raise UsageError("give --in or --trials, not both")
+    if (args.trials is None) == (args.infile is None):
+        raise UsageError("give --in or --trials" + ("" if args.trials is None else ", not both"))
+    given = [flag for flag, _ in check.flags if getattr(args, flag[2:]) is not None]
     if args.trials is not None:
+        stray = [flag for flag in given if flag not in check.drawn]
+        if stray:
+            raise UsageError(f"--trials does not read {' or '.join(stray)}")
         _require_at_least("trials", args.trials, 1)
-        rng = random.Random(args.seed)
+        seed = 0 if args.seed is None else args.seed
+        rng = random.Random(seed)
         for trial in range(args.trials):
             instance = check.draw(args, rng)
             try:
                 check.trial(instance)
             except AssertionFailed as exc:
-                exc.witness = {"seed": args.seed, "trial": trial, **instance, **exc.witness}
+                exc.witness = {"seed": seed, "trial": trial, **instance, **exc.witness}
                 raise
-        report = {"trials": args.trials, "seed": args.seed, "violations": 0}
-    elif args.infile:
-        missing = [flag for flag, _ in check.flags if getattr(args, flag[2:]) is None]
+        report = {"trials": args.trials, "seed": seed, "violations": 0}
+    else:
+        if args.seed is not None:
+            raise UsageError("--in does not read --seed")
+        missing = [flag for flag, _ in check.flags if flag not in given]
         if missing:
             raise UsageError(f"give {' and '.join(missing)}")
         report = check.fixed(args)
-    else:
-        raise UsageError("give --in or --trials")
     return {**report, "holds": True}
 
 
@@ -398,7 +406,7 @@ _REARRANGE = (("--values", {"help": "comma separated rationals, odd count"}),
 _CHECK_IO = (
     ("--in", {"dest": "infile", "help": "JSON input for a fixed instance"}),
     ("--trials", {"type": int, "help": "run this many seeded random instances"}),
-    ("--seed", {"type": int, "default": 0}),
+    ("--seed", {"type": int, "help": "seed of the --trials batch (default 0)"}),
     ("--witness", {"help": "path for the violation witness (default witness.json)"}),
 )
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -124,50 +123,53 @@ def _require_p(q):
     return q
 
 
-MAX_ATOMS = 4096
-MAX_SIGN_SUMMANDS = 24          # sign_vector_max forms n + 1 laws of up to n summands each
-MAX_WEIGHT_WORK = 50_000        # weight_grid_search: sorted weight tuples times n
-MAX_WEIGHT_ATOMS = 5_000_000    # weight_grid_search: predicted atoms of every law it builds, times n
+# -- work caps: one gate, and one budget of steps for every search ---------
+
+MAX_ATOMS = 4096                # atoms of one exact law
+MAX_WORK = 5_000_000            # steps of one search, each near a microsecond
+
+
+def _require_within(what, count, unit):
+    """The one gate of every work cap: `what` predict `count` `unit`, atoms of one exact law against
+    MAX_ATOMS or steps of one search against MAX_WORK."""
+    cap = MAX_ATOMS if unit == "atoms" else MAX_WORK
+    if count > cap:
+        raise TooLarge(f"{what} predict {count} {unit}, above the cap {cap}")
 
 
 def _require_support(summands, width):
     """Cap an exact sum of iid summands by its predicted support, summands * width."""
-    atoms = summands * width
-    if atoms > MAX_ATOMS:
-        raise TooLarge(f"{summands} summands of {width} atoms predict {atoms} atoms, above the cap {MAX_ATOMS}")
+    _require_within(f"{summands} summands of {width} atoms", summands * width, "atoms")
 
 
-def _require_weight_work(size, n):
-    """Cap a search over the sorted weight tuples of n iid summands from a grid of `size` values:
-    the C(size + n - 1, n) tuples times n must stay within MAX_WEIGHT_WORK."""
-    tuples = math.comb(size + n - 1, n)
-    if tuples * n > MAX_WEIGHT_WORK:
-        raise TooLarge(f"{tuples} sorted weight tuples of {n} summands predict {tuples * n} steps, "
-                       f"above the cap {MAX_WEIGHT_WORK}")
+def _atom_count(runs, atoms, spans):
+    """Predicted atoms of sum_i w_i X_i, the X_i iid of `atoms` atoms whose coordinates span `spans` and the
+    weights given as (weight, times) runs: the smaller of the multisets of atoms, the product over runs of
+    C(times + atoms - 1, atoms - 1), and the points of the lattice box, the product over coordinates of
+    (L sum times |weight| span + 1), with L the lcm of the denominators."""
+    multisets = math.prod(math.comb(m + atoms - 1, atoms - 1) for _, m in runs)
+    scale = int(math.lcm(*(w.denominator for w, _ in runs)) * sum(m * abs(w) for w, m in runs))
+    return min(multisets, math.prod(scale * span + 1 for span in spans))
 
 
-def _require_weight_atoms(tuples, n, atoms, spans):
-    """Cap a weight search by the predicted atoms of the laws it builds, one per orbit representative in `tuples`.
+def _sign_steps(n, dist):
+    """Predicted steps of a sign search over n iid copies of `dist`.
 
-    n times their sum must stay within MAX_WEIGHT_ATOMS.  For a law of
-    `atoms` atoms whose coordinates span `spans`, sum_i w_i X_i has at most
-    the smaller of two counts: the product over distinct weights, each m
-    times, of C(m + atoms - 1, atoms - 1) multisets of atoms, and the points
-    of its lattice box, the product over coordinates of (L sum |w_i| span + 1),
-    with L the lcm of the denominators.  Each tuple must be sorted.
+    With P_j the law of j summands, the search forms P_j times the law for j < n, then -P_(n - j) times
+    P_j for j <= n.  Each of these 2n + 1 convolutions costs 40 steps, plus 1 + x y / 2^20 per atom
+    product of numerators of x and y bits; P_j has `_atom_count` atoms and numerators of at most
+    j log2(den) bits, den the law's denominator.  The count stops once it passes MAX_WORK, so n alone can
+    refuse the search.
     """
-    total = 0
-    for weights in tuples:
-        multisets = math.prod(math.comb(len(list(run)) + atoms - 1, atoms - 1)
-                              for _, run in itertools.groupby(weights))
-        scale = int(math.lcm(*(w.denominator for w in weights)) * sum(map(abs, weights)))
-        total += min(multisets, math.prod(scale * span + 1 for span in spans))
-    if total * n > MAX_WEIGHT_ATOMS:
-        raise TooLarge(f"{len(tuples)} weight orbits of {n} summands of {atoms} atoms predict "
-                       f"{total * n} atoms times n, above the cap {MAX_WEIGHT_ATOMS}")
-
-
-MAX_SCAN_STEPS = 5_000_000
+    atoms, spans = len(dist.support), [max(c) - min(c) for c in zip(*dist.support)]
+    bits, steps, sizes = (dist.den - 1).bit_length(), (2 * n + 1) * 40, [1]
+    while steps <= MAX_WORK and len(sizes) <= n:    # P_j times the law is P_(j + 1)
+        j = len(sizes) - 1
+        steps += sizes[j] * atoms * (1 + j * bits * bits // 2**20)
+        sizes.append(_atom_count([(1, j + 1)], atoms, spans))
+    if steps <= MAX_WORK:
+        steps += sum(sizes[n - j] * sizes[j] * (1 + (n - j) * j * bits * bits // 2**20) for j in range(n + 1))
+    return steps
 
 
 def _require_scan_work(n, points, den):
@@ -181,14 +183,11 @@ def _require_scan_work(n, points, den):
     _require_support(n, 2)
     bits = n * (den - 1).bit_length()
     steps = points * (80 + (n // 2 + 1) * (n + 1) * (4096 + bits) // 4096)
-    if steps > MAX_SCAN_STEPS:
-        raise TooLarge(
-            f"a scan of n = {n} at {points} values of p (denominators up to {den}) predicts {steps} steps, "
-            f"above the cap {MAX_SCAN_STEPS}")
+    _require_within(f"{points} values of p at n = {n} (denominators up to {den})", steps, "steps")
 
 
 def _require_positive_coeffs(b, c):
-    """The coefficients b and c of x^2 + b x + c, exact or float, both positive."""
+    """The exact coefficients b and c of x^2 + b x + c, both positive."""
     if b <= 0 or c <= 0:
         raise ParamOutOfRange("coefficients must be positive")
     return b, c

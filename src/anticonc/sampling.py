@@ -23,7 +23,7 @@ def random_masses(rng: random.Random, count: int) -> list[Fraction]:
     return [Fraction(w, total) for w in weights]
 
 
-def random_dist(rng: random.Random, dim: int = 1) -> Dist:
+def random_dist(rng: random.Random, dim: int) -> Dist:
     """A random distribution on 1 to 4 distinct points of {-3..3}^dim."""
     count = rng.randint(1, 4)
     points: set[tuple[int, ...]] = set()

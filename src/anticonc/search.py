@@ -27,13 +27,12 @@ from .dist import (
 )
 from .asymptotics import local_limit_exact
 from .errors import (
-    MAX_SIGN_SUMMANDS,
     AssertionFailed,
     EvenN,
     ParamOutOfRange,
     QTooLarge,
-    TooLarge,
     ZeroWeight,
+    _atom_count,
     _require_alpha,
     _require_at_least,
     _require_common_dim,
@@ -41,8 +40,8 @@ from .errors import (
     _require_p,
     _require_scan_work,
     _require_support,
-    _require_weight_atoms,
-    _require_weight_work,
+    _require_within,
+    _sign_steps,
     require_bound,
 )
 
@@ -189,8 +188,7 @@ def sign_vector_max(dist: Dist, n: int, x: PointLike | None = None) -> tuple[Fra
     the reported witness is the lexicographically smallest maximizer.
     """
     _require_at_least("n", n, 1)
-    if n > MAX_SIGN_SUMMANDS:
-        raise TooLarge(f"sign enumeration capped at n = {MAX_SIGN_SUMMANDS}, got {n}")
+    _require_within(f"{2 * n + 1} sign-search convolutions of {n} summands", _sign_steps(n, dist), "steps")
     powers = list(itertools.accumulate([dist] * n, Dist.convolve, initial=delta((0,) * dist.dim)))
     best: tuple[Fraction, int] | None = None
     for j in range(n + 1):
@@ -232,8 +230,10 @@ def weight_grid_search(dist: Dist, n: int, grid: Sequence[RationalLike]) -> Grid
     evaluated once.  Because the summands are iid, the smallest tuple of an
     orbit in lexicographic order is sorted, so only sorted tuples are
     enumerated, in lexicographic order; the first one met represents its
-    orbit, making the reported witness the smallest maximizer.  The atom
-    budget is taken over these representatives before any law is built.
+    orbit, making the reported witness the smallest maximizer.  Its work is
+    predicted before any law is built: 100 steps per sorted tuple and summand
+    for the walk, then one step per predicted atom and summand of each law;
+    the sign search it is compared with has its own budget.
     """
     _require_at_least("n", n, 1)
     values = sorted({as_fraction(g) for g in grid})
@@ -241,12 +241,15 @@ def weight_grid_search(dist: Dist, n: int, grid: Sequence[RationalLike]) -> Grid
         raise ParamOutOfRange("empty weight grid")
     if any(v == 0 for v in values):
         raise ZeroWeight("grid must not contain 0")
-    _require_weight_work(len(values), n)
+    size = math.comb(len(values) + n - 1, n)
+    _require_within(f"{size} sorted weight tuples of {n} summands", 100 * size * n, "steps")
     orbits: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
     for tup in itertools.combinations_with_replacement(values, n):
         orbits.setdefault(_weight_orbit_key(tup), tup)
     tuples = list(orbits.values())
-    _require_weight_atoms(tuples, n, len(dist.support), [max(c) - min(c) for c in zip(*dist.support)])
+    atoms, spans = len(dist.support), [max(c) - min(c) for c in zip(*dist.support)]
+    laws = sum(_atom_count([(w, len(list(run))) for w, run in itertools.groupby(t)], atoms, spans) for t in tuples)
+    _require_within(f"{len(tuples)} weight orbits of {n} summands of {atoms} atoms", n * laws, "steps")
     sign_value, sign_vector = sign_vector_max(dist, n)
     best: tuple[Fraction, tuple[Fraction, ...], Point] | None = None
     for tup in tuples:

@@ -1,9 +1,10 @@
 """The public surface of the package, and the contract the benchmark tracer relies on.
 
 The optional parameters of the public callables are pinned too, so a new
-knob has to be listed here, and each parameter domain has one validator
-whose message every guard of that domain shares.  The guards that only a
-direct call reaches are checked for their exception type and message.
+knob has to be listed here; so are the names of the work caps.  Each
+parameter domain has one validator whose message every guard of that
+domain shares.  The guards that only a direct call reaches are checked for
+their exception type and message.
 
 `perfbench/tracing.py` wraps every public function of every anticonc module
 and the `Dist` methods it names, and sorts each span into a per-layer group.
@@ -12,8 +13,10 @@ the tracer has no group for, fail in the plain test run rather than only in a
 traced benchmark run.
 """
 
+import importlib
 import importlib.util
 import inspect
+import pkgutil
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -77,7 +80,7 @@ def test_tracer_knows_every_span():
         assert tracing.group_of(span)
 
 
-OPTIONAL = ["extreme_point_measure.rest", "sampling.random_dist.dim", "sign_vector_max.x"]
+OPTIONAL = ["extreme_point_measure.rest", "sign_vector_max.x"]
 
 
 def _optional_parameters():
@@ -94,6 +97,17 @@ def _optional_parameters():
 
 def test_optional_parameters_are_pinned():
     assert _optional_parameters() == OPTIONAL
+
+
+CAPS = ["MAX_ATOMS", "MAX_WORK"]
+
+
+def test_cap_constants_are_pinned_and_checked_by_one_gate():
+    # the support of one law and the steps of one search; a new cap has to be listed here
+    modules = [importlib.import_module(f"anticonc.{info.name}") for info in pkgutil.iter_modules(anticonc.__path__)
+               if not info.name.startswith("_")]
+    assert sorted({name for module in modules for name in vars(module) if name.startswith("MAX_")}) == CAPS
+    assert sum(Path(module.__file__).read_text().count("raise TooLarge") for module in modules) == 1
 
 
 @pytest.mark.parametrize("call, validator", [

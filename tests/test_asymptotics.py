@@ -148,6 +148,15 @@ class TestMiddleCoefficient:
         with pytest.raises(ParamOutOfRange):
             middle_coeff_asym(0, F(1), F(1))
 
+    def test_asym_names_the_float_range_when_a_coefficient_underflows(self):
+        # the exact side takes c = 10^-400; its float is 0.0, which is not the coefficient's sign
+        tiny = F(1, 10**400)
+        assert middle_coeff_exact(5, F(1), tiny) > 0
+        with pytest.raises(ParamOutOfRange, match="^a positive coefficient is below the float range$"):
+            middle_coeff_asym(5, F(1), tiny)
+        with pytest.raises(ParamOutOfRange, match="^coefficients must be positive$"):
+            middle_coeff_asym(5, F(1), -tiny)
+
 
 class TestOddTailRatios:
     def test_doubled_pair_zero_mass(self):

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -136,6 +137,18 @@ class TestCheckCommands:
             assert code == 0, sub
             report = json.loads(out)
             assert report == {"trials": 10, "seed": 3, "violations": 0, "holds": True}
+
+    def test_a_batch_without_a_seed_reports_seed_0(self, tmp_path, capsys, monkeypatch):
+        code, out, _ = run(capsys, "check", "monotone", "--trials", "2")
+        assert (code, json.loads(out)["seed"]) == (0, 0)
+
+        def broken(dists):
+            raise AssertionFailed("forced", witness={"lhs": F(1), "rhs": F(0)})
+
+        monkeypatch.setattr("anticonc.search.monotonicity_check", broken)
+        witness = tmp_path / "w.json"
+        assert run(capsys, "check", "monotone", "--trials", "2", "--witness", str(witness))[0] == 2
+        assert json.loads(witness.read_text())["witness"]["seed"] == 0
 
     @pytest.mark.parametrize("alpha", ["1/12", "1/13", "1/20"])
     def test_theorem2_trials_at_small_levels(self, capsys, alpha):
@@ -297,7 +310,7 @@ class TestScanCommands:
         code, _, err = run(capsys, "scan", "weights", "--in", path, "--n", "8", "--grid-values=1,2,3,5,7,11")
         assert time.perf_counter() - start < 1
         assert code == 1
-        assert "predict 63103200 atoms times n, above the cap 5000000" in err
+        assert "predict 63103200 steps, above the cap 5000000" in err
 
 
 class TestErrorPaths:
@@ -363,6 +376,17 @@ class TestErrorPaths:
 
 PAIR = '{"dim":1,"atoms":[[[0],"1/2"],[[1],"1/2"]]}'
 
+# Commands over a work cap: each is refused before the work starts
+TOO_LARGE = [
+    (None, "asym corollary2 --n 100000 --alpha 1/3"),
+    (None, "asym tnzero --n 5000 --p 1/3"),
+    (None, "family tn --n 20000 --p 1/3"),
+    (None, "family binom --n 200000 --p 1/3"),
+    (None, "scan kphase --n 1001 --grid 512"),
+    (None, "scan kphase --n 3 --grid 100000000"),
+    (None, "scan kphase --n 3001 --grid 1"),
+]
+
 MALFORMED = [
     # (text of the --in file or None, command line; {in} is that file)
     ('{"dim":1,"atoms":[[[0],"0.5"],[[1],"1/2"]]}', "dist q --in {in}"),
@@ -382,13 +406,7 @@ MALFORMED = [
     (None, "check theorem2 --trials 1 --alpha 0"),
     (None, "check gabriel --trials -2"),
     (None, "check monotone --trials 0"),
-    (None, "asym corollary2 --n 100000 --alpha 1/3"),
-    (None, "asym tnzero --n 5000 --p 1/3"),
-    (None, "family tn --n 20000 --p 1/3"),
-    (None, "family binom --n 200000 --p 1/3"),
-    (None, "scan kphase --n 1001 --grid 512"),
-    (None, "scan kphase --n 3 --grid 100000000"),
-    (None, "scan kphase --n 3001 --grid 1"),
+    *TOO_LARGE,
     ('{"dim":1,"atoms":[[[0],"1/2"],[[1],"1/2"]]}', "scan weights --in {in} --n 2 --cap 100"),
     ('[["1/5","1/2","3/10"],["1/4","1/2","1/4"],["1/4","1/2","1/4"]]', "check gabriel --in {in} --star-from 3"),
     # --format is taken only by the commands that emit rows
@@ -403,6 +421,7 @@ GUARDED = [
     ("{", "dist q --in {in}", "invalid JSON"),
     (None, "rearrange left", "give --values or --in"),
     (None, "asym wagner --n 5 --b 1 --c=-1", "coefficients must be positive"),
+    (None, "asym wagner --n 5 --b 1 --c 1/1" + "0" * 400, "a positive coefficient is below the float range"),
     ('[{"dim":1,"atoms":[[[0],"1/1"]]},{"dim":2,"atoms":[[[0,0],"1/1"]]}]', "check monotone --in {in}",
      "distributions must share one dimension"),
     # a fixed instance needs every flag of its check, and the message names the missing ones
@@ -414,6 +433,13 @@ GUARDED = [
     ("[]", "check monotone --in {in}", "need at least one distribution"),
     # a fixed instance and a seeded batch are exclusive; the file is not read, so it need not exist
     (None, "check balancing --in {in} --trials 2", "error: give --in or --trials, not both\n"),
+    # a mode refuses the flags it does not read: a batch draws its instances, a fixed instance has no seed
+    (None, "check balancing --trials 2 --x 5,5,5", "error: --trials does not read --x\n"),
+    (None, "check birnbaum --trials 2 --k -7", "error: --trials does not read --k\n"),
+    (None, "check theorem2 --trials 2 --x 0", "error: --trials does not read --x\n"),
+    (None, "check theorem2 --trials 2 --alpha 1/3 --x 0", "error: --trials does not read --x\n"),
+    (f"[{PAIR},{PAIR}]", "check balancing --in {in} --x 0 --seed 9", "error: --in does not read --seed\n"),
+    (f"[{PAIR}]", "rearrange left --values 1,2,3 --in {in}", "error: give --values or --in, not both\n"),
 ]
 
 
@@ -436,6 +462,22 @@ def test_malformed_input_exits_1_without_traceback(tmp_path, capsys, text, comma
 @pytest.mark.parametrize("text, command, message", GUARDED)
 def test_guard_names_the_fault(tmp_path, capsys, text, command, message):
     assert message in _run_malformed(tmp_path, capsys, text, command)
+
+
+SPREAD = json.dumps(uniform_on([0, 1, 100, 10000]).to_json_obj())
+EIGHT = json.dumps(uniform_on([0, 1, 7, 50, 333, 2000, 15000, 99999]).to_json_obj())
+
+
+@pytest.mark.parametrize("text, command", TOO_LARGE + [
+    (SPREAD, "scan weights --in {in} --n 8 --grid-values=1,2,3,5,7,11"),
+    (EIGHT, "scan signs --in {in} --n 24"),
+])
+def test_every_size_refusal_has_one_shape(tmp_path, capsys, text, command):
+    # one gate raises every cap refusal; the sign search on 8 spread atoms would run about 17 hours
+    start = time.perf_counter()
+    err = _run_malformed(tmp_path, capsys, text, command)
+    assert time.perf_counter() - start < 1
+    assert re.fullmatch(r"error: .+ predict \d+ (atoms|steps), above the cap \d+\n", err)
 
 
 @pytest.mark.parametrize("sub, checker, instance_keys", [

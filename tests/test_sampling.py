@@ -17,8 +17,8 @@ from anticonc.sampling import (
 
 
 def test_generators_are_seed_deterministic():
-    a = random_dist(random.Random(42))
-    b = random_dist(random.Random(42))
+    a = random_dist(random.Random(42), dim=1)
+    b = random_dist(random.Random(42), dim=1)
     assert a == b
 
 

@@ -28,6 +28,7 @@ from anticonc import (
 from anticonc import errors, search
 from anticonc.errors import AssertionFailed, EvenN, OddN, ParamOutOfRange, QTooLarge, TooLarge, ZeroWeight
 from anticonc.sampling import random_capped_dist, random_dist
+from conftest import dists
 
 
 def binom_pmf(n, k, p):
@@ -182,8 +183,35 @@ class TestSignVectorMax:
         assert (value, signs) == (F(2, 3), (-1,))
 
     def test_cap(self):
-        with pytest.raises(TooLarge, match="sign enumeration capped at n = 24, got 25"):
-            sign_vector_max(bernoulli(F(1, 2)), 25)
+        # the cap is a prediction of work, not of n: 25 Bernoulli summands are cheap, 24 of 8 spread atoms are not
+        assert sign_vector_max(bernoulli(F(1, 2)), 25) == (F(1300075, 8388608), (-1,) * 25)
+        msg = "49 sign-search convolutions of 24 summands predict 5885728 steps, above the cap 5000000"
+        with pytest.raises(TooLarge, match=msg):
+            sign_vector_max(uniform_on([0, 1, 7, 50, 333, 2000, 15000, 99999]), 24)
+
+    @given(st.one_of(dists(coord_bound=2), dists(coord_bound=1000)), st.integers(1, 8), st.integers(0, 2**400))
+    @example(uniform_on([0, 1, 100, 10000]), 8, 2**400)
+    def test_sign_budget_never_undercounts(self, law, n, tilt):
+        # each convolution the search forms costs 40 steps plus its atom products, each weighted by the bits
+        # of the two numerators, so a budget one below the steps counted through Dist.convolve always refuses
+        # it; a heavy first atom gives long numerators, which the prediction must cover too
+        weights = [m + tilt * (i == 0) for i, m in enumerate(law.nums)]
+        law = Dist.from_entries((p, F(w, sum(weights))) for p, w in zip(law.support, weights))
+        steps = []
+        convolve = Dist.convolve
+
+        def counted(a, b):
+            bits = max(a.nums).bit_length() * max(b.nums).bit_length()
+            steps.append(40 + len(a.support) * len(b.support) * (1 + bits // 2**20))
+            return convolve(a, b)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Dist, "convolve", counted)
+            patch.setattr(errors, "MAX_WORK", math.inf)
+            sign_vector_max(law, n)
+            patch.setattr(errors, "MAX_WORK", sum(steps) - 1)
+            with pytest.raises(TooLarge, match="sign-search convolutions"):
+                sign_vector_max(law, n)
 
 
 class TestWeightGridSearch:
@@ -219,14 +247,14 @@ class TestWeightGridSearch:
 
     def test_cap(self):
         # C(19, 14) = 11,628 sorted tuples of 14 summands exceed the fixed cap; refused before any law is built
-        msg = "11628 sorted weight tuples of 14 summands predict 162792 steps, above the cap 50000"
+        msg = "11628 sorted weight tuples of 14 summands predict 16279200 steps, above the cap 5000000"
         with pytest.raises(TooLarge, match=msg):
             weight_grid_search(bernoulli(F(1, 2)), 14, [F(v) for v in range(1, 7)])
 
     def test_atom_budget_never_undercounts(self, monkeypatch):
-        # every law the search builds, one per orbit, has at most its predicted atoms, so a
-        # cap one below n times their real total always refuses the search
-        supports = []
+        # every law the search builds, one per orbit, has at most its predicted atoms, so the
+        # steps predicted for the orbits are at least n times their real total
+        supports, predicted = [], {}
 
         def recorded(weights, components):
             scaled = weighted_sum(weights, components)
@@ -234,6 +262,7 @@ class TestWeightGridSearch:
             return scaled
 
         monkeypatch.setattr(search, "weighted_sum", recorded)
+        monkeypatch.setattr(search, "_require_within", lambda what, count, unit: predicted.update({what: count}))
         rng = random.Random(3)
         for dim in (1, 2):
             for _ in range(25):
@@ -241,12 +270,10 @@ class TestWeightGridSearch:
                 grid = sorted({F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)) for _ in range(3)})
                 n = rng.randint(1, 4)
                 supports.clear()
-                monkeypatch.setattr(errors, "MAX_WEIGHT_ATOMS", math.inf)
+                predicted.clear()
                 weight_grid_search(d, n, grid)
-                real = n * sum(supports)
-                monkeypatch.setattr(errors, "MAX_WEIGHT_ATOMS", real - 1)
-                with pytest.raises(TooLarge, match="atoms times n, above the cap"):
-                    weight_grid_search(d, n, grid)
+                (orbits,) = [count for what, count in predicted.items() if "weight orbits" in what]
+                assert orbits >= n * sum(supports)
 
 
 class TestQuasiUniformBoundCheck:
