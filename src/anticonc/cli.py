@@ -468,6 +468,13 @@ COMMANDS = {
 }
 
 
+def _leaf(parser: argparse.ArgumentParser, command: _Command) -> argparse.ArgumentParser:
+    for flag, spec in command.flags + ((_OUT, _FORMAT) if command.rows else (_OUT,)):
+        parser.add_argument(flag, **spec)
+    parser.set_defaults(run=command.run)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="anticonc", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     subparsers = {(): parser.add_subparsers(dest="command", required=True)}
@@ -475,16 +482,22 @@ def build_parser() -> argparse.ArgumentParser:
         if path[:-1] not in subparsers:
             group = subparsers[()].add_parser(path[0], help=_GROUPS[path[0]])
             subparsers[path[:-1]] = group.add_subparsers(dest="subcommand", required=True)
-        leaf = subparsers[path[:-1]].add_parser(path[-1], help=command.help)
-        for flag, spec in command.flags + ((_OUT, _FORMAT) if command.rows else (_OUT,)):
-            leaf.add_argument(flag, **spec)
-        leaf.set_defaults(run=command.run)
+        _leaf(subparsers[path[:-1]].add_parser(path[-1], help=command.help), command)
     return parser
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse with the parser of the leaf that argv names; any other argv (help, a bare group,
+    an unknown word, an option before the words) goes to the whole tree, for its usage and errors."""
+    for path in (tuple(argv[:2]), tuple(argv[:1])):
+        if path in COMMANDS:
+            return _leaf(_Parser(prog=" ".join(("anticonc", *path))), COMMANDS[path]).parse_args(argv[len(path):])
+    return build_parser().parse_args(argv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         _emit(args, args.run(args))
     except AssertionFailed as exc:
         try:

@@ -163,7 +163,8 @@ def default_p_grid(count: int) -> list[Fraction]:
 
 def k_phase_scan(n: int, p_grid: Sequence[RationalLike]) -> PhaseDiagram:
     """Best sign split as a function of p over a grid in (0, 1/2], for odd n."""
-    ps = sorted({_require_p(as_fraction(p)) for p in p_grid})
+    # A correctly rounded float never reverses the order and equal floats fall back to the exact compare.
+    ps = sorted({_require_p(as_fraction(p)) for p in p_grid}, key=lambda p: (float(p), p))
     if not ps:
         raise ParamOutOfRange("empty grid")
     _require_scan_work(n, len(ps), max(p.denominator for p in ps))

@@ -268,6 +268,57 @@ class TestCommandTable:
             ("scan", "kphase")]
 
 
+def _usage_errors(path):
+    """Argv that every leaf refuses while parsing: unknown flag, bad int, bad --format choice, trailing
+    word, an abbreviation of --trials given a bad int, a flag without its value, and, for a leaf with a
+    required flag, none of its flags."""
+    argvs = [["--bogus"], ["--n", "x"], ["--format", "xml"], ["extra"], ["--tri", "x"], ["--out"]]
+    if any(spec.get("required") for _, spec in cli.COMMANDS[path].flags):
+        argvs.append([])
+    return [[*path, *argv] for argv in argvs]
+
+
+class TestParseRoutes:
+    """main parses a leaf's argv with that leaf's parser alone; help and errors match the whole tree."""
+
+    @pytest.mark.parametrize("path", cli.COMMANDS)
+    def test_leaf_help_matches_the_tree(self, capsys, path):
+        outs = []
+        for parse in (main, build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse([*path, "--help"])
+            assert exc.value.code == 0
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1]
+        assert outs[0].out.startswith(f"usage: anticonc {' '.join(path)} [-h]")
+
+    @pytest.mark.parametrize("path", cli.COMMANDS)
+    def test_leaf_usage_errors_match_the_tree(self, capsys, path):
+        for argv in _usage_errors(path):
+            with pytest.raises(cli.UsageError) as exc:
+                build_parser().parse_args(argv)
+            assert run(capsys, *argv) == (1, "", f"error: {exc.value}\n"), argv
+
+    def test_a_leaf_run_never_builds_the_tree(self, tmp_path, capsys, monkeypatch):
+        law = write_dists(tmp_path, "law.json", bernoulli(F(1, 3)))
+        leaf_runs = [["dist", "q", "--in", law], ["asym", "tnzero", "--n", "8", "--p", "1/2"],
+                     ["check", "monotone", "--trials", "1"]]
+        expected = [run(capsys, *argv) for argv in leaf_runs]
+
+        class TreeBuilt(Exception):
+            pass
+
+        def no_tree():
+            raise TreeBuilt
+
+        monkeypatch.setattr(cli, "build_parser", no_tree)
+        assert [run(capsys, *argv) for argv in leaf_runs] == expected
+        assert [code for code, _, _ in expected] == [0, 0, 0]
+        for argv in (["--help"], ["dist"], ["nope"]):
+            with pytest.raises(TreeBuilt):
+                main(argv)
+
+
 class TestScanCommands:
     def test_kphase_csv(self, capsys):
         code, out, _ = run(capsys, "scan", "kphase", "--n", "3", "--grid", "4")

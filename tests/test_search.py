@@ -129,6 +129,17 @@ class TestKPhaseScan:
         diagram = k_phase_scan(3, [F(1, 2), F(1, 4), F(1, 2)])
         assert [c.p for c in diagram.cells] == [F(1, 4), F(1, 2)]
 
+    # Grid values whose floats tie: p nudged by less than an ulp, and p whose float underflows to 0.0.
+    @given(st.lists(st.one_of(
+        st.builds(lambda p, nudge: p - nudge * F(1, 10**30),
+                  st.builds(F, st.integers(1, 15), st.integers(2, 30)).filter(lambda p: p <= F(1, 2)),
+                  st.sampled_from((0, 1, 2))),
+        st.integers(1, 10**6).map(lambda a: F(a, 10**400)),
+    ), min_size=1, max_size=12))
+    @example([F(1, 3) + F(1, 10**30), F(1, 3), F(2, 10**400), F(1, 10**400), F(1, 2)])
+    def test_grid_order_is_the_exact_order_of_fractions(self, grid):
+        assert [c.p for c in k_phase_scan(1, grid).cells] == sorted(set(grid))
+
     def test_default_grid(self):
         grid = default_p_grid(4)
         assert grid == [F(1, 8), F(1, 4), F(3, 8), F(1, 2)]
