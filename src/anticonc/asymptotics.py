@@ -12,9 +12,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dist import RationalLike, _alternating_zero, as_fraction
-from .errors import ParamOutOfRange, _require_at_least, _require_p, _require_positive_coeffs, _require_support
-from .families import alternating_bernoulli, quasi_uniform, quasi_uniform_variance
+from .dist import RationalLike, _alternating_zero, _hit, as_fraction
+from .errors import (ParamOutOfRange, _require_at_least, _require_p, _require_positive_coeffs, _require_support,
+                     _require_within)
+from .families import _alternating_halves, alternating_bernoulli, quasi_uniform, quasi_uniform_variance
 
 __all__ = [
     "OddTailRatios",
@@ -55,8 +56,8 @@ def small_dev_ratio_exact(n: int, p: RationalLike, k: int) -> Fraction:
     _require_at_least("n", n, 1)
     _require_at_least("k", k, 0)
     q = _require_p(as_fraction(p))
-    d = alternating_bernoulli(2 * n, q)
-    return d.atom(k) / d.atom(0)
+    halves = _alternating_halves(2 * n, q)
+    return _hit(halves, k) / _hit(halves, 0)
 
 
 def small_dev_ratio_approx(n: int, p: RationalLike, k: int) -> float:
@@ -70,7 +71,7 @@ def small_dev_ratio_approx(n: int, p: RationalLike, k: int) -> float:
 def alternating_zero_exact(n: int, p: RationalLike) -> Fraction:
     """P(D = 0) for D the alternating sum of n Bernoulli(p)."""
     q = _require_p(as_fraction(p))
-    return alternating_bernoulli(n, q).atom(0)
+    return _hit(_alternating_halves(n, q), 0)
 
 
 def alternating_zero_asym(n: int, p: RationalLike) -> float:
@@ -92,10 +93,27 @@ def alternating_zero_asym(n: int, p: RationalLike) -> float:
 
 def middle_coeff_exact(n: int, b: RationalLike, c: RationalLike) -> Fraction:
     """Central coefficient of (x^2 + b x + c)^n: x^n takes x^2 from i factors,
-    c from i and b x from n - 2i, so it is sum_i C(n, 2i) C(2i, i) b^(n-2i) c^i."""
+    c from i and b x from n - 2i, so it is sum_i C(n, 2i) C(2i, i) b^(n-2i) c^i.
+
+    With b = bn/bd, c = cn/cd and h = n // 2 the terms are summed as integers
+    over bd^n cd^h: term i is bn^(n - 2h) u^(h - i) v^i times its coefficient,
+    with u = bn^2 cd and v = bd^2 cn, so one Horner pass in u sums them.  The
+    sum is at most bd^n cd^h (1 + b + c)^n, the sum of all coefficients over
+    that denominator, so the value is refused before the sum when that bound
+    has more decimal digits than the interpreter converts to a string (no cap
+    when its limit is 0).
+    """
     _require_at_least("n", n, 1)
     bf, cf = _require_positive_coeffs(as_fraction(b), as_fraction(c))
-    return sum(math.comb(n, 2 * i) * math.comb(2 * i, i) * bf ** (n - 2 * i) * cf**i for i in range(n // 2 + 1))
+    (bn, bd), (cn, cd), h, s = bf.as_integer_ratio(), cf.as_integer_ratio(), n // 2, 1 + bf + cf
+    digits = n * math.log10(bd) + h * math.log10(cd) + n * (math.log10(s.numerator) - math.log10(s.denominator))
+    _require_within(f"{h + 1} terms of the central coefficient at n = {n}", math.floor(digits) + 1, "digits")
+    u, v = bn * bn * cd, bd * bd * cn
+    total, coef, v_i = 0, 1, 1       # coef = C(n, 2i) C(2i, i) = n! / ((n - 2i)! i! i!)
+    for i in range(h + 1):
+        total = total * u + coef * v_i
+        coef, v_i = coef * (n - 2 * i) * (n - 2 * i - 1) // (i + 1) ** 2, v_i * v
+    return Fraction(total * bn ** (n - 2 * h), bd**n * cd**h)
 
 
 def middle_coeff_asym(n: int, b: RationalLike, c: RationalLike) -> float:
@@ -140,12 +158,12 @@ def odd_tail_ratios(m: int, p: RationalLike) -> OddTailRatios:
     q = _require_p(as_fraction(p))
     n_eff = 2 * (m - 1)
     _require_support(n_eff + 3, 2)  # x and the alternating triple
-    x = alternating_bernoulli(n_eff, q)
-    x_zero = x.atom(0)
+    plus, minus = _alternating_halves(n_eff, q)    # X = plus + minus; Y2 and Y3 join the minus side
+    x_zero = _hit([plus, minus], 0)
     pair_doubled = alternating_bernoulli(2, q).scale(2)
     triple = alternating_bernoulli(3, q)
-    exact_pair = x.convolve(pair_doubled).atom(0) / x_zero
-    exact_triple = x.convolve(triple).atom(0) / x_zero
+    exact_pair = _hit([plus, minus.convolve(pair_doubled)], 0) / x_zero
+    exact_triple = _hit([plus, minus.convolve(triple)], 0) / x_zero
     approx_pair = 1.0 - 4.0 / n_eff
     approx_triple = 1.0 - float((3 - 2 * q) / (2 * n_eff * (1 - q)))
     return OddTailRatios(exact_pair, exact_triple, approx_pair, approx_triple, n_eff)

@@ -65,6 +65,13 @@ def as_point(value: PointLike) -> Point:
     return tuple(int(c) for c in value)
 
 
+def _point_in(value: PointLike, dim: int) -> Point:
+    p = as_point(value)
+    if len(p) != dim:
+        raise DimensionMismatch(f"point {p} has dim {len(p)}, expected {dim}")
+    return p
+
+
 def format_fraction(q: Fraction) -> str:
     """Render a rational as 'num/den', denominator always explicit."""
     return f"{q.numerator}/{q.denominator}"
@@ -134,10 +141,7 @@ class Dist:
 
     def atom(self, x: PointLike) -> Fraction:
         """Mass at the point x (0 if x is not an atom)."""
-        p = as_point(x)
-        if len(p) != self.dim:
-            raise DimensionMismatch(f"point {p} has dim {len(p)}, expected {self.dim}")
-        return Fraction(self._mass.get(p, 0), self.den)
+        return Fraction(self._mass.get(_point_in(x, self.dim), 0), self.den)
 
     def concentration(self) -> tuple[Fraction, Point]:
         """Largest atom and its location.
@@ -312,11 +316,28 @@ def self_convolve(dist: Dist, n: int) -> Dist:
     return out
 
 
+def _hit(dists: Sequence[Dist], x: PointLike) -> Fraction:
+    """P(X_1 + ... + X_n = x) for independent X_i ~ dists[i], without the law of
+    the whole sum: the law of all but the last summand, then one lookup in the
+    last law per atom p of it, at x - p.  This costs |head| lookups where the
+    last convolution would cost |head| * |last| products."""
+    dim = _require_common_dim(dists, "distribution")
+    target = _point_in(x, dim)
+    *rest, last = dists
+    head = convolve_all(rest) if rest else delta((0,) * dim)
+    get = last._mass.get
+    total = sum([m * get(tuple([a - b for a, b in zip(target, p)]), 0) for p, m in zip(head.support, head.nums)])
+    return Fraction(total, head.den * last.den)
+
+
 def _alternating_zero(mu: Dist, n: int) -> Fraction:
-    """P(Y_1 - Y_2 + Y_3 - ... = 0) for n iid copies of mu: a power of the
-    alternating pair, times mu once more when n is odd, at the origin."""
-    law = self_convolve(mu.convolve(mu.negate()), n // 2)
-    return (law.convolve(mu) if n % 2 else law).atom((0,) * mu.dim)
+    """P(Y_1 - Y_2 + Y_3 - ... = 0) for n iid copies of mu: the ceil(n/2) plus
+    summands against the floor(n/2) minus summands, one hit at the origin.  With
+    h = n // 2 the minus side is -S_h and the plus side S_h, times mu once more
+    when n is odd, so no pair law and no full power is formed; at even n this is
+    the sum of the squared atoms of S_h."""
+    half = self_convolve(mu, n // 2)
+    return _hit([half.convolve(mu) if n % 2 else half, half.negate()], (0,) * mu.dim)
 
 
 class ScaledDist(NamedTuple):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 
@@ -131,9 +132,10 @@ MAX_WORK = 5_000_000            # steps of one search, each near a microsecond
 
 def _require_within(what, count, unit):
     """The one gate of every work cap: `what` predict `count` `unit`, atoms of one exact law against
-    MAX_ATOMS or steps of one search against MAX_WORK."""
-    cap = MAX_ATOMS if unit == "atoms" else MAX_WORK
-    if count > cap:
+    MAX_ATOMS, steps of one search against MAX_WORK, or decimal digits of one exact number against the
+    interpreter's limit on int-to-str conversion, which caps nothing when it is 0."""
+    cap = MAX_ATOMS if unit == "atoms" else MAX_WORK if unit == "steps" else sys.get_int_max_str_digits()
+    if cap and count > cap:
         raise TooLarge(f"{what} predict {count} {unit}, above the cap {cap}")
 
 

@@ -4,7 +4,9 @@ Everything here is exact.  Closed forms (binomial pmf, quasi-uniform
 variance) are deliberately written without convolutions so the tests can
 cross-check them against the convolution route.  In the other direction,
 `signed_binomial_diff` convolves two binomials, and it is the oracle that
-the row ladder of `search.optimal_k_scan` is tested against.
+both the row ladder of `search.optimal_k_scan` and the alternating zero
+masses read with `dist._hit` (one atom of a sum, the sum never formed) are
+tested against.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .dist import Dist, PointLike, RationalLike, _canonical, as_fraction, as_point
+from .dist import Dist, PointLike, RationalLike, _canonical, as_fraction, as_point, convolve_all
 from .errors import (ParamOutOfRange, RestPointInSupport, WrongSupportSize, _require_alpha, _require_at_least,
                      _require_p, _require_support)
 
@@ -100,9 +102,17 @@ def alternating_bernoulli(n: int, p: RationalLike) -> Dist:
     ceil(n/2) summands enter with sign +1 and floor(n/2) with sign -1, so
     the result is the difference of two independent binomials.
     """
+    return convolve_all(_alternating_halves(n, p))
+
+
+def _alternating_halves(n: int, p: RationalLike) -> list[Dist]:
+    """Binomial(ceil(n/2), p) and the law of minus a Binomial(floor(n/2), p):
+    the two sides of alternating_bernoulli(n, p), so that one atom of their sum
+    can be read with `dist._hit` without forming it."""
     _require_at_least("n", n, 1)
     _require_support(n, 2)
-    return signed_binomial_diff(n, n // 2, p)
+    q = _require_p(as_fraction(p))
+    return [binomial(n - n // 2, q), binomial(n // 2, q).negate()]
 
 
 def signed_binomial_diff(n: int, k: int, p: RationalLike) -> Dist:

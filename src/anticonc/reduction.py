@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .dist import Dist, Point, PointLike, RationalLike, _alternating_zero, as_fraction, as_point, convolve_all
+from .dist import Dist, Point, PointLike, RationalLike, _alternating_zero, _hit, as_fraction, as_point, convolve_all
 from .errors import AssertionFailed, QTooLarge, _require_alpha, _require_common_dim, _require_even, require_bound
 from .families import extreme_point_measure
 
@@ -52,7 +52,7 @@ def agm_step(first_half: Sequence[Dist], second_half: Sequence[Dist]) -> AgmStep
     dim = _require_common_dim([*first_half, *second_half], "distribution")
     s = convolve_all(first_half)
     t = convolve_all(second_half)
-    joint = s.convolve(t).atom((0,) * dim)
+    joint = _hit([s, t], (0,) * dim)
     first_sym = _alternating_zero(s, 2)
     second_sym = _alternating_zero(t, 2)
     mirror = t == s.negate()
@@ -87,7 +87,7 @@ def balancing_bound(dists: Sequence[Dist], x: PointLike) -> BalancingBound:
     _require_even(n)
     _require_common_dim(dists, "distribution")
     target = as_point(x)
-    lhs = convolve_all(dists).atom(target)
+    lhs = _hit(dists, target)
     zero_mass = {mu: _alternating_zero(mu, n) for mu in dict.fromkeys(dists)}   # once per distinct law
     rhs = [zero_mass[mu] for mu in dists]
     best_rhs = max(rhs)

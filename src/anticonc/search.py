@@ -19,9 +19,9 @@ from .dist import (
     Point,
     PointLike,
     RationalLike,
+    _hit,
     as_fraction,
     as_point,
-    convolve_all,
     delta,
     weighted_sum,
 )
@@ -278,7 +278,7 @@ def quasi_uniform_bound_check(dists: Sequence[Dist], alpha: RationalLike, x: Poi
         if q > a:
             raise QTooLarge(f"summand {i} has largest atom {q} > {a}")
     target = as_point(x)
-    lhs = convolve_all(dists).atom(target)
+    lhs = _hit(dists, target)
     rhs = local_limit_exact(len(dists), a)
     require_bound("quasi-uniform ceiling failed", lhs, rhs, dists=list(dists), x=target, alpha=a)
     return lhs, rhs

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .dist import Dist, RationalLike, as_fraction, convolve_all
+from .dist import Dist, RationalLike, _hit, as_fraction
 from .errors import DimensionMismatch, NotSymmetrizable, PreconditionViolated, require_bound
 
 __all__ = [
@@ -99,7 +99,7 @@ def _zero_sum_coefficient(seqs: Sequence[CenteredSeq]) -> Fraction:
         return _ZERO
     laws = [Dist.from_entries((i, v / t) for i, v in enumerate(seq.values, -seq.radius))
             for seq, t in zip(seqs, totals)]
-    return math.prod(totals) * convolve_all(laws).atom(0)
+    return math.prod(totals) * _hit(laws, 0)
 
 
 def gabriel_sides(seqs: Sequence[CenteredSeq]) -> tuple[Fraction, Fraction]:

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -135,6 +136,21 @@ class TestMiddleCoefficient:
 
     def test_single_factor(self):
         assert middle_coeff_exact(1, F(7, 2), F(9)) == F(7, 2)
+
+    def test_digits_are_capped_by_the_interpreter_limit(self):
+        # at b = 2, c = 1 the bound 4^n on C(2n, n) has 640 digits at n = 1063 and 641 at n = 1064 (640 is the
+        # lowest limit the interpreter takes); a limit of 0 caps nothing
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            assert middle_coeff_exact(1063, 2, 1) == math.comb(2126, 1063)
+            with pytest.raises(TooLarge, match="^533 terms of the central coefficient at n = 1064 predict 641 digits, "
+                                               "above the cap 640$"):
+                middle_coeff_exact(1064, 2, 1)
+            sys.set_int_max_str_digits(0)
+            assert middle_coeff_exact(1064, 2, 1) == math.comb(2128, 1064)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_asym_relative_error(self):
         for b, c in ((F(2), F(1)), (F(1), F(1)), (F(3), F(2))):

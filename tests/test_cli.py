@@ -473,6 +473,9 @@ GUARDED = [
     (None, "rearrange left", "give --values or --in"),
     (None, "asym wagner --n 5 --b 1 --c=-1", "coefficients must be positive"),
     (None, "asym wagner --n 5 --b 1 --c 1/1" + "0" * 400, "a positive coefficient is below the float range"),
+    # the exact value would exceed the interpreter's digit limit for int-to-str conversion
+    (None, "asym wagner --n 8000 --b 1/1000 --c 1/4",
+     "4001 terms of the central coefficient at n = 8000 predict 27187 digits, above the cap"),
     ('[{"dim":1,"atoms":[[[0],"1/1"]]},{"dim":2,"atoms":[[[0,0],"1/1"]]}]', "check monotone --in {in}",
      "distributions must share one dimension"),
     # a fixed instance needs every flag of its check, and the message names the missing ones

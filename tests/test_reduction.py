@@ -99,8 +99,8 @@ class TestBalancingBound:
         monkeypatch.setattr(Dist, "convolve", lambda a, b: calls.append(1) or convolve(a, b))
         b = bernoulli(F(1, 3))
         bound = balancing_bound([b] * 4, (0,))
-        # 3 for the lhs; the pair law and one squaring for the single rhs
-        assert len(calls) == 5
+        # 2 for the lhs, whose last product is a lookup; one squaring for the half power of the single rhs
+        assert len(calls) == 3
         assert (bound.index, bound.rhs) == (0, F(11, 27))
 
     def test_odd_count_rejected(self):
