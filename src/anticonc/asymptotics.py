@@ -95,25 +95,36 @@ def middle_coeff_exact(n: int, b: RationalLike, c: RationalLike) -> Fraction:
     """Central coefficient of (x^2 + b x + c)^n: x^n takes x^2 from i factors,
     c from i and b x from n - 2i, so it is sum_i C(n, 2i) C(2i, i) b^(n-2i) c^i.
 
-    With b = bn/bd, c = cn/cd and h = n // 2 the terms are summed as integers
-    over bd^n cd^h: term i is bn^(n - 2h) u^(h - i) v^i times its coefficient,
-    with u = bn^2 cd and v = bd^2 cn, so one Horner pass in u sums them.  The
-    sum is at most bd^n cd^h (1 + b + c)^n, the sum of all coefficients over
-    that denominator, so the value is refused before the sum when that bound
+    With b = bn/bd, c = cn/cd and h = n // 2 every term's denominator
+    bd^(n - 2i) cd^i divides D = bd^(n - 2h) l^h, l = lcm(bd^2, cd), so the
+    terms are summed as integers over D: term i is bn^(n - 2h) u^(h - i) v^i
+    times its coefficient, with u = bn^2 l / bd^2 and v = cn l / cd, and one
+    Horner pass in u sums them.  The value is the constant term of
+    (x + b + c / x)^n, whose coefficients are all positive, so it is at most
+    that Laurent polynomial at x = sqrt(c), (b + 2 sqrt(c))^n.  The reduced
+    denominator divides D and the reduced numerator is at most D times the
+    value, so the value is refused before the sum when D max(1, b + 2 sqrt(c))^n
     has more decimal digits than the interpreter converts to a string (no cap
     when its limit is 0).
     """
     _require_at_least("n", n, 1)
     bf, cf = _require_positive_coeffs(as_fraction(b), as_fraction(c))
-    (bn, bd), (cn, cd), h, s = bf.as_integer_ratio(), cf.as_integer_ratio(), n // 2, 1 + bf + cf
-    digits = n * math.log10(bd) + h * math.log10(cd) + n * (math.log10(s.numerator) - math.log10(s.denominator))
+    (bn, bd), (cn, cd), h = bf.as_integer_ratio(), cf.as_integer_ratio(), n // 2
+    l = math.lcm(bd * bd, cd)
+    lb, lc = _log10(bf), math.log10(2) + _log10(cf) / 2     # of b and of 2 sqrt(c)
+    top = max(lb, lc) + math.log10(1 + 10 ** -abs(lb - lc))  # of b + 2 sqrt(c), with no float overflow
+    digits = (n - 2 * h) * math.log10(bd) + h * math.log10(l) + n * max(top, 0)
     _require_within(f"{h + 1} terms of the central coefficient at n = {n}", math.floor(digits) + 1, "digits")
-    u, v = bn * bn * cd, bd * bd * cn
+    u, v = bn * bn * (l // (bd * bd)), cn * (l // cd)
     total, coef, v_i = 0, 1, 1       # coef = C(n, 2i) C(2i, i) = n! / ((n - 2i)! i! i!)
     for i in range(h + 1):
         total = total * u + coef * v_i
         coef, v_i = coef * (n - 2 * i) * (n - 2 * i - 1) // (i + 1) ** 2, v_i * v
-    return Fraction(total * bn ** (n - 2 * h), bd**n * cd**h)
+    return Fraction(total * bn ** (n - 2 * h), bd ** (n - 2 * h) * l**h)
+
+
+def _log10(q: Fraction) -> float:
+    return math.log10(q.numerator) - math.log10(q.denominator)
 
 
 def middle_coeff_asym(n: int, b: RationalLike, c: RationalLike) -> float:

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .dist import Dist, PointLike, RationalLike, _canonical, as_fraction, as_point, convolve_all
+from .dist import Dist, PointLike, RationalLike, _canonical, as_fraction, as_point
 from .errors import (ParamOutOfRange, RestPointInSupport, WrongSupportSize, _require_alpha, _require_at_least,
                      _require_p, _require_support)
 
@@ -102,7 +102,9 @@ def alternating_bernoulli(n: int, p: RationalLike) -> Dist:
     ceil(n/2) summands enter with sign +1 and floor(n/2) with sign -1, so
     the result is the difference of two independent binomials.
     """
-    return convolve_all(_alternating_halves(n, p))
+    _require_at_least("n", n, 1)
+    _require_support(n, 2)
+    return signed_binomial_diff(n, n // 2, p)
 
 
 def _alternating_halves(n: int, p: RationalLike) -> list[Dist]:

@@ -152,6 +152,28 @@ class TestMiddleCoefficient:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    @pytest.mark.parametrize("b, c", [(2, 1), (F(1, 1000), F(1, 4)), (F(3, 2), 2), (F(5, 6), F(7, 10)), (7, F(1, 9)),
+                                      (F(1, 3), F(1, 9))])
+    def test_the_digit_bound_is_safe_and_close(self, b, c):
+        # under the lowest limit the interpreter takes, the last admitted value converts to a string, and the first
+        # refused one has at least 638 digits in its numerator or denominator: the bound overshoots by at most 3
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            last, refused = 1, 5000      # bisect: the bound grows with n
+            while refused - last > 1:
+                mid = (last + refused) // 2
+                try:
+                    middle_coeff_exact(mid, b, c)
+                    last = mid
+                except TooLarge:
+                    refused = mid
+            str(middle_coeff_exact(last, b, c))
+            sys.set_int_max_str_digits(0)
+            assert max(len(str(part)) for part in middle_coeff_exact(refused, b, c).as_integer_ratio()) >= 638
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_asym_relative_error(self):
         for b, c in ((F(2), F(1)), (F(1), F(1)), (F(3), F(2))):
             exact = middle_coeff_exact(20, b, c)

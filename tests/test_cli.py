@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import random
 import re
@@ -244,6 +245,17 @@ class TestAsymCommands:
         assert code == 0
         assert out == f"quantity,n,param,exact,asym,residual,scaled_residual\n{row}\n"
 
+    @pytest.mark.parametrize("n", [1300, 1433])
+    def test_wagner_prints_every_row_within_the_digit_limit(self, capsys, n):
+        # 1,433 is the last n whose exact value for these coefficients converts to a string under the default
+        # limit of 4,300 digits (n = 1,434 is refused); the exact column is the Fraction sum of the terms
+        b, c = F(1, 1000), F(1, 4)
+        code, out, _ = run(capsys, "asym", "wagner", "--n", str(n), "--b", "1/1000", "--c", "1/4")
+        assert code == 0
+        _, rows = self.parse_csv(out)
+        exact = sum(math.comb(n, 2 * i) * math.comb(2 * i, i) * b ** (n - 2 * i) * c**i for i in range(n // 2 + 1))
+        assert rows[0][:4] == ["middle_coefficient", str(n), "b=1/1000;c=1/4", f"{exact.numerator}/{exact.denominator}"]
+
     def test_wagner_golden_exact(self, capsys):
         code, out, _ = run(capsys, "asym", "wagner", "--n", "131", "--b", "3/2", "--c", "2")
         assert code == 0
@@ -475,7 +487,9 @@ GUARDED = [
     (None, "asym wagner --n 5 --b 1 --c 1/1" + "0" * 400, "a positive coefficient is below the float range"),
     # the exact value would exceed the interpreter's digit limit for int-to-str conversion
     (None, "asym wagner --n 8000 --b 1/1000 --c 1/4",
-     "4001 terms of the central coefficient at n = 8000 predict 27187 digits, above the cap"),
+     "4001 terms of the central coefficient at n = 8000 predict 24004 digits, above the cap"),
+    (None, "asym wagner --n 1434 --b 1/1000 --c 1/4",
+     "718 terms of the central coefficient at n = 1434 predict 4303 digits, above the cap"),
     ('[{"dim":1,"atoms":[[[0],"1/1"]]},{"dim":2,"atoms":[[[0,0],"1/1"]]}]', "check monotone --in {in}",
      "distributions must share one dimension"),
     # a fixed instance needs every flag of its check, and the message names the missing ones
