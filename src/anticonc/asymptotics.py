@@ -145,6 +145,8 @@ def middle_coeff_asym(n: int, b: RationalLike, c: RationalLike) -> float:
     value = lead * (1.0 + (bf - 4.0 * root) / (16.0 * n * root))
     if value == math.inf:
         raise ParamOutOfRange(f"the expansion at n = {n} exceeds the float range")
+    if value == 0.0:  # the correction is at least 1 - 1 / (4 n), so only an underflow gives 0
+        raise ParamOutOfRange(f"the expansion at n = {n} is below the float range")
     return value
 
 

@@ -111,22 +111,25 @@ class Dist:
         NegativeMass, DimensionMismatch, or MassNotOne (with the exact
         deficit) when the input is not a probability distribution.
         """
-        mass: dict[Point, Fraction] = {}
+        pairs: list[tuple[Point, Fraction]] = []
         dim = None
         for pt, m in entries:
             p = as_point(pt)
             q = as_fraction(m)
-            if q < 0:
+            if q.numerator < 0:
                 raise NegativeMass(f"mass {q} at {p}")
             if dim is None:
                 dim = len(p)
             elif len(p) != dim:
                 raise DimensionMismatch(f"point {p} has dim {len(p)}, expected {dim}")
-            mass[p] = mass.get(p, Fraction(0)) + q
+            pairs.append((p, q))
         if dim is None:
             raise ValueError("no atoms given")
-        den = math.lcm(*[q.denominator for q in mass.values()])
-        return _canonical(dim, {p: q.numerator * (den // q.denominator) for p, q in mass.items()}, den)
+        den = math.lcm(*{q.denominator for _, q in pairs})
+        mass: dict[Point, int] = {}
+        for p, q in pairs:
+            mass[p] = mass.get(p, 0) + q.numerator * (den // q.denominator)
+        return _canonical(dim, mass, den)
 
     # -- queries -------------------------------------------------------
 
@@ -247,10 +250,12 @@ class Dist:
     # -- serialization -------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        return {
-            "dim": self.dim,
-            "atoms": [[list(p), format_fraction(m)] for p, m in self.atoms],
-        }
+        # each mass reduced by one gcd of integers, written as format_fraction writes it
+        atoms, den = [], self.den
+        for p, m in zip(self.support, self.nums):
+            g = math.gcd(m, den)
+            atoms.append([list(p), f"{m // g}/{den // g}"])
+        return {"dim": self.dim, "atoms": atoms}
 
     @staticmethod
     def from_json_obj(obj: dict) -> "Dist":

@@ -118,8 +118,11 @@ def _require_alpha(a):
     return a
 
 
+_HALF = Fraction(1, 2)
+
+
 def _require_p(q):
-    if not 0 < q <= Fraction(1, 2):
+    if not 0 < q <= _HALF:
         raise ParamOutOfRange(f"success mass must lie in (0, 1/2], got {q}")
     return q
 

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .dist import Dist, Point, PointLike, RationalLike, _alternating_zero, _hit, as_fraction, as_point, convolve_all
-from .errors import AssertionFailed, QTooLarge, _require_alpha, _require_common_dim, _require_even, require_bound
+from .dist import (Dist, Point, PointLike, RationalLike, _alternating_zero, _canonical, _hit, as_fraction, as_point,
+                   convolve_all)
+from .errors import (AssertionFailed, NegativeMass, QTooLarge, _require_alpha, _require_common_dim, _require_even,
+                     require_bound)
 from .families import extreme_point_measure
 
 __all__ = [
@@ -130,33 +132,44 @@ def extreme_decompose(mu: Dist, alpha: RationalLike) -> Union[Extremal, Mixture]
         raise QTooLarge(f"largest atom {q} exceeds level {a}")
 
     # masses of at most a summing to 1 take more than k atoms unless a = 1/k and
-    # all k equal a, so rest is None only then, when mu2 needs no rest and is mu
+    # all k equal a, so rest is None only then, when mu2 needs no rest and is mu;
+    # the sort is stable, so ties keep the stored point order
     k = math.floor(1 / a)
-    ranked = sorted(mu.atoms, key=lambda pm: (-pm[1], pm[0]))
-    main = [p for p, _ in ranked[:k]]
-    rest = ranked[k][0] if len(ranked) > k else None
+    ranked = sorted(range(len(mu.nums)), key=mu.nums.__getitem__, reverse=True)[:k + 1]
+    main = [mu.support[i] for i in ranked[:k]]
+    rest = mu.support[ranked[k]] if len(ranked) > k else None
     mu2 = extreme_point_measure(a, main, rest)
     if mu2 == mu:
         return Extremal(tuple(main), rest)
 
-    # the cap on mu1's atoms bounds the stretch away from mu2
-    eps = a * (k + 1) - 1
-    for p in [*main, rest]:
-        gap = mu2.atom(p) - mu.atom(p)
-        if gap > 0:
-            eps = min(eps, mu.atom(p) / gap)
-    p_weight = 1 / (1 + eps)
+    # the cap on mu1's atoms bounds the stretch eps = en / ed away from mu2: where
+    # mu = m / d1 and mu2 = m2 / d2, a gap g = m2 d1 - m d2 > 0 caps it at m d2 / g
+    (an, ad), d1, d2 = a.as_integer_ratio(), mu.den, mu2.den
+    en, ed = an * (k + 1) - ad, ad
+    for i in ranked:
+        m = mu.nums[i]
+        gap = mu2._mass.get(mu.support[i], 0) * d1 - m * d2
+        if gap > 0 and m * d2 * ed < en * gap:
+            en, ed = m * d2, gap
+    p_weight = Fraction(ed, ed + en)
 
-    entries = []
-    for pt in sorted({*mu.support, *mu2.support}):
-        entries.append((pt, (1 + eps) * mu.atom(pt) - eps * mu2.atom(pt)))
-    mu1 = Dist.from_entries(entries)
+    # mu1 = (1 + eps) mu - eps mu2, in numerators over ed d1 d2
+    den = ed * d1 * d2
+    mass = {pt: (ed + en) * d2 * m for pt, m in zip(mu.support, mu.nums)}
+    for pt, m in zip(mu2.support, mu2.nums):
+        mass[pt] = mass.get(pt, 0) - en * d1 * m
+    if min(mass.values()) < 0:
+        pt = min(pt for pt, m in mass.items() if m < 0)
+        raise NegativeMass(f"mass {Fraction(mass[pt], den)} at {pt}")
+    mu1 = _canonical(mu.dim, mass, den)
 
-    rebuilt = Dist.from_entries(
-        [(pt, p_weight * mu1.atom(pt)) for pt in mu1.support]
-        + [(pt, (1 - p_weight) * mu2.atom(pt)) for pt in mu2.support]
-    )
-    if rebuilt != mu or mu1.concentration()[0] > a:
+    # re-check the returned laws: p mu1 + (1 - p) mu2 = mu at every point, multiplied
+    # through by p's denominator and the three laws' denominators, and mu1's cap
+    pn, pd, e1 = p_weight.numerator, p_weight.denominator, mu1.den
+    c1, c2, c0 = pn * d2 * d1, (pd - pn) * e1 * d1, pd * e1 * d2
+    m0, m1, m2 = mu._mass, mu1._mass, mu2._mass
+    if (any(c1 * m1.get(pt, 0) + c2 * m2.get(pt, 0) != c0 * m0.get(pt, 0) for pt in {*m0, *m1, *m2})
+            or max(mu1.nums) * ad > an * e1):
         raise AssertionFailed(
             "decomposition failed to reconstruct the measure",
             witness={"mu": mu.to_json_obj(), "p": p_weight, "mu1": mu1.to_json_obj(), "mu2": mu2.to_json_obj()},

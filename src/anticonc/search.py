@@ -101,6 +101,13 @@ def optimal_k_scan(n: int, p: RationalLike) -> KScanResult:
     _require_at_least("n", n, 1)
     _require_support(n, 2)
     q = _require_p(as_fraction(p))
+    rows = _split_rows(n, q)
+    best = max(rows, key=lambda r: (r.value, -r.k))
+    return KScanResult(n, q, best.k, best.x, best.value, rows)
+
+
+def _split_rows(n: int, q: Fraction) -> tuple[KRow, ...]:
+    """The rows of `optimal_k_scan` for n and a p that its callers validated."""
     a, b = q.numerator, q.denominator
     c, den = b - a, b**n
     row = [c**n]  # C(n, j) a^j c^(n - j), each from the last by an exact division
@@ -112,8 +119,7 @@ def optimal_k_scan(n: int, p: RationalLike) -> KScanResult:
             row = _next_split(row, a, c)
         top = max(row)
         x = row.index(top) - k
-        mean = (n - 2 * k) * q
-        lo, hi = math.floor(mean), math.ceil(mean)
+        lo, hi = (n - 2 * k) * a // b, -(-(n - 2 * k) * a // b)    # floor and ceil of the mean (n - 2k) p
         candidates = (lo,) if lo == hi else (lo, hi)
         if x not in candidates:
             raise AssertionFailed(
@@ -121,8 +127,7 @@ def optimal_k_scan(n: int, p: RationalLike) -> KScanResult:
                 witness={"n": n, "k": k, "p": q, "mode": x, "candidates": candidates},
             )
         rows.append(KRow(k, x, Fraction(top, den)))
-    best = max(rows, key=lambda r: (r.value, -r.k))
-    return KScanResult(n, q, best.k, best.x, best.value, tuple(rows))
+    return tuple(rows)
 
 
 def _next_split(row: list[int], a: int, c: int) -> list[int]:
@@ -173,10 +178,11 @@ def k_phase_scan(n: int, p_grid: Sequence[RationalLike]) -> PhaseDiagram:
     cells = []
     observed: set[int] = set()
     for p in ps:
-        res = optimal_k_scan(n, p)
-        ks = res.tied_ks()
+        rows = _split_rows(n, p)
+        top = max(r.value for r in rows)
+        ks = tuple(r.k for r in rows if r.value == top)
         observed.update(ks)
-        cells.append(PhaseCell(p, ks, res.best_value))
+        cells.append(PhaseCell(p, ks, top))
     return PhaseDiagram(n, tuple(cells), tuple(sorted(observed)))
 
 
@@ -185,16 +191,17 @@ def sign_vector_max(dist: Dist, n: int, x: PointLike | None = None) -> tuple[Fra
 
     Maximizes P(sum_i s_i X_i = x) over s in {-1, +1}^n, or the largest atom
     of the signed sum when x is None.  Because the summands are iid the law
-    depends only on the number of +1 signs, so only n + 1 laws are formed;
-    the reported witness is the lexicographically smallest maximizer.
+    depends only on the number of +1 signs, so only n + 1 laws are compared,
+    and with a target each is read at x without being formed; the reported
+    witness is the lexicographically smallest maximizer.
     """
     _require_at_least("n", n, 1)
     _require_within(f"{2 * n + 1} sign-search convolutions of {n} summands", _sign_steps(n, dist), "steps")
     powers = list(itertools.accumulate([dist] * n, Dist.convolve, initial=delta((0,) * dist.dim)))
     best: tuple[Fraction, int] | None = None
     for j in range(n + 1):
-        law = powers[n - j].negate().convolve(powers[j])
-        value = law.concentration()[0] if x is None else law.atom(x)
+        minus = powers[n - j].negate()
+        value = minus.convolve(powers[j]).concentration()[0] if x is None else _hit([minus, powers[j]], x)
         if best is None or value > best[0]:
             best = (value, j)
     value, j = best

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .dist import Dist, RationalLike, _hit, as_fraction
+from .dist import Dist, RationalLike, _canonical, _hit, as_fraction
 from .errors import DimensionMismatch, NotSymmetrizable, PreconditionViolated, require_bound
 
 __all__ = [
@@ -93,13 +93,15 @@ def is_symmetrizable(seq: CenteredSeq) -> bool:
 
 def _zero_sum_coefficient(seqs: Sequence[CenteredSeq]) -> Fraction:
     # coefficient of position 0 in the formal convolution of the sequences: the
-    # product of their totals times the hit probability at 0 of the normalized laws
-    totals = [sum(seq.values) for seq in seqs]
+    # product of their totals times the hit probability at 0 of the normalized laws;
+    # each law is its sequence's numerators over their lcm, divided by their sum
+    dens = [math.lcm(*{v.denominator for v in seq.values}) for seq in seqs]
+    nums = [[v.numerator * (den // v.denominator) for v in seq.values] for seq, den in zip(seqs, dens)]
+    totals = [sum(ns) for ns in nums]
     if not all(totals):
         return _ZERO
-    laws = [Dist.from_entries((i, v / t) for i, v in enumerate(seq.values, -seq.radius))
-            for seq, t in zip(seqs, totals)]
-    return math.prod(totals) * _hit(laws, 0)
+    laws = [_canonical(1, {(i,): m for i, m in enumerate(ns, -seq.radius)}, t) for seq, ns, t in zip(seqs, nums, totals)]
+    return Fraction(math.prod(totals), math.prod(dens)) * _hit(laws, 0)
 
 
 def gabriel_sides(seqs: Sequence[CenteredSeq]) -> tuple[Fraction, Fraction]:

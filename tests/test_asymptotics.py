@@ -195,6 +195,13 @@ class TestMiddleCoefficient:
         with pytest.raises(ParamOutOfRange, match="^coefficients must be positive$"):
             middle_coeff_asym(5, F(1), -tiny)
 
+    def test_asym_names_the_float_range_when_the_expansion_underflows(self):
+        b, c = F(6520, 8330001), F(22, 53907780)
+        assert float(middle_coeff_exact(379, b, c)) == 0.0
+        with pytest.raises(ParamOutOfRange, match="^the expansion at n = 379 is below the float range$"):
+            middle_coeff_asym(379, b, c)
+        assert 0 < middle_coeff_asym(100, b, c) < 1e-200  # a smaller n stays in range
+
 
 class TestOddTailRatios:
     def test_doubled_pair_zero_mass(self):

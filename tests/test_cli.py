@@ -490,6 +490,8 @@ GUARDED = [
      "4001 terms of the central coefficient at n = 8000 predict 24004 digits, above the cap"),
     (None, "asym wagner --n 1434 --b 1/1000 --c 1/4",
      "718 terms of the central coefficient at n = 1434 predict 4303 digits, above the cap"),
+    # the central coefficient and its expansion both underflow a float; the residual divided by 0.0
+    (None, "asym wagner --n 379 --b 6520/8330001 --c 22/53907780", "the expansion at n = 379 is below the float range"),
     ('[{"dim":1,"atoms":[[[0],"1/1"]]},{"dim":2,"atoms":[[[0,0],"1/1"]]}]', "check monotone --in {in}",
      "distributions must share one dimension"),
     # a fixed instance needs every flag of its check, and the message names the missing ones

@@ -16,7 +16,7 @@ from anticonc import (
     uniform_on,
     weighted_sum,
 )
-from anticonc.dist import _alternating_zero
+from anticonc.dist import _alternating_zero, as_fraction, as_point
 from anticonc.errors import DimensionMismatch, MassNotOne, NegativeMass, ZeroWeight
 
 from conftest import brute_weighted_law, dists, fraction_convolve
@@ -269,3 +269,78 @@ def test_stored_form_is_reduced_and_unique(d, k):
     for other in (unreduced, d.negate().negate(), d.convolve(delta((0,) * d.dim))):
         assert other == d and hash(other) == hash(d)
         assert (other.support, other.nums, other.den) == (d.support, d.nums, d.den)
+
+
+# -- from_entries against the Fraction-summing construction it replaced ------
+
+
+def fraction_from_entries(entries):
+    """The reference: sum the masses of each point as Fractions, then drop the
+    nulls and sort; the same checks in the same order, and the deficit 1 - total."""
+    mass, dim = {}, None
+    for pt, m in entries:
+        p, q = as_point(pt), as_fraction(m)
+        if q < 0:
+            raise NegativeMass(f"mass {q} at {p}")
+        if dim is None:
+            dim = len(p)
+        elif len(p) != dim:
+            raise DimensionMismatch(f"point {p} has dim {len(p)}, expected {dim}")
+        mass[p] = mass.get(p, F(0)) + q
+    if dim is None:
+        raise ValueError("no atoms given")
+    total = sum(mass.values())
+    if total != 1:
+        raise MassNotOne(1 - total)
+    atoms = tuple(sorted((p, q) for p, q in mass.items() if q))
+    text = json.dumps({"dim": dim, "atoms": [[list(p), f"{q.numerator}/{q.denominator}"] for p, q in atoms]},
+                      separators=(",", ":"))
+    return dim, atoms, text
+
+
+def _outcome(build, entries):
+    try:
+        return build(entries)
+    except ValueError as e:
+        return type(e), str(e), getattr(e, "deficit", None)
+
+
+@st.composite
+def entry_lists(draw):
+    """(point, mass) pairs on few points, so duplicates are common: zero masses, each
+    mass written as an unreduced string, a Fraction or an int, with denominators of
+    its own; then perhaps one fault, a negative mass, a point of the other dimension,
+    or a total other than 1."""
+    dim = draw(st.integers(1, 2))
+    count = draw(st.integers(1, 8))
+    weights = [draw(st.integers(0, 6)) for _ in range(count)]
+    weights[0] += not any(weights)
+    total = sum(weights)
+    entries = []
+    for w in weights:
+        point = draw(st.tuples(*[st.integers(-2, 2)] * dim))
+        if dim == 1 and draw(st.booleans()):
+            point = point[0]
+        q, scale = F(w, total), draw(st.integers(1, 4))
+        mass = draw(st.sampled_from((f"{w * scale}/{total * scale}", q, str(q)) + ((int(q),) if q in (0, 1) else ())))
+        entries.append((point, mass))
+    fault = draw(st.sampled_from((None, "negative", "dim", "total")))
+    i = draw(st.integers(0, count - 1))
+    if fault == "negative":
+        entries[i] = (entries[i][0], f"-{weights[i] + 1}/{total}")
+    elif fault == "dim":
+        entries[i] = ((0,) * (3 - dim), entries[i][1])
+    elif fault == "total" and draw(st.booleans()):
+        entries.append((entries[i][0], F(draw(st.integers(1, 3)), 3 * total)))
+    elif fault == "total":
+        del entries[weights.index(max(weights))]
+    return entries
+
+
+@given(entry_lists())
+def test_from_entries_matches_the_fraction_reference(entries):
+    def build(entries):
+        d = Dist.from_entries(entries)
+        return d.dim, d.atoms, d.to_json()
+
+    assert _outcome(build, entries) == _outcome(fraction_from_entries, entries)

@@ -203,3 +203,90 @@ class TestExtremeDecompose:
     def test_quasi_uniform_is_extremal_at_its_level(self, alpha):
         result = extreme_decompose(quasi_uniform(alpha), alpha)
         assert isinstance(result, Extremal)
+
+
+# -- extreme_decompose against the Fraction construction it replaced ----------
+
+
+def fraction_decompose(mu, alpha):
+    """The reference: rank the atoms as Fractions, stretch by a Fraction eps,
+    build mu1 from Fraction entries and re-check by rebuilding mu."""
+    a = F(alpha)
+    k = math.floor(1 / a)
+    ranked = sorted(mu.atoms, key=lambda pm: (-pm[1], pm[0]))
+    main = [p for p, _ in ranked[:k]]
+    rest = ranked[k][0] if len(ranked) > k else None
+    mu2 = extreme_point_measure(a, main, rest)
+    if mu2 == mu:
+        return Extremal(tuple(main), rest)
+    eps = a * (k + 1) - 1
+    for p in [*main, rest]:
+        gap = mu2.atom(p) - mu.atom(p)
+        if gap > 0:
+            eps = min(eps, mu.atom(p) / gap)
+    p_weight = 1 / (1 + eps)
+    mu1 = Dist.from_entries(
+        [(pt, (1 + eps) * mu.atom(pt) - eps * mu2.atom(pt)) for pt in sorted({*mu.support, *mu2.support})])
+    rebuilt = Dist.from_entries([(pt, p_weight * mu1.atom(pt)) for pt in mu1.support]
+                                + [(pt, (1 - p_weight) * mu2.atom(pt)) for pt in mu2.support])
+    assert rebuilt == mu and mu1.concentration()[0] <= a
+    return Mixture(p_weight, mu1, mu2)
+
+
+@st.composite
+def capped_laws(draw):
+    """A law and a level at least its largest atom: a random law, often capped at exactly its largest
+    atom so that ties at the top are common, or an extreme point of the cap, in dimension 1 or 2."""
+    dim = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        alpha = draw(fractions_in_unit())
+        k = math.floor(1 / alpha)
+        pts = draw(st.lists(st.tuples(*[st.integers(-5, 5)] * dim), min_size=k + 1, max_size=k + 1, unique=True))
+        return extreme_point_measure(alpha, pts[:k], pts[k] if k * alpha < 1 else None), alpha
+    mu = draw(dists(dim=dim, max_support=6, coprime=draw(st.booleans())))
+    top = mu.concentration()[0]
+    if top == 1:
+        mu, top = uniform_on([(0,) * dim, (1,) * dim]), F(1, 2)
+    alpha = top if draw(st.booleans()) else top + (1 - top) * draw(fractions_in_unit())
+    return mu, alpha
+
+
+@given(capped_laws())
+def test_decompose_matches_the_fraction_reference(case):
+    mu, alpha = case
+    assert extreme_decompose(mu, alpha) == fraction_decompose(mu, alpha)
+
+
+def test_decompose_matches_the_fraction_reference_on_random_capped_laws():
+    rng = random.Random(14)
+    kinds = set()
+    for _ in range(200):
+        alpha = rng.choice((F(1, 3), F(2, 5), F(1, 2), F(3, 4), F(2, 7)))
+        mu = random_capped_dist(rng, alpha)
+        if rng.random() < 0.5:     # the same law on the diagonal of the plane
+            mu = Dist.from_entries([((x, x), m) for (x,), m in mu.atoms])
+        result = extreme_decompose(mu, alpha)
+        assert result == fraction_decompose(mu, alpha)
+        kinds.add((type(result), mu.dim))
+    assert kinds == {(Mixture, 1), (Mixture, 2), (Extremal, 1), (Extremal, 2)}
+
+
+def test_a_corrupt_mu1_fails_the_integer_reconstruction(monkeypatch):
+    # one unit of numerator moved between two atoms of mu1: its mass is still 1 and its cap
+    # still holds, so only the identity p mu1 + (1 - p) mu2 = mu, checked on the returned laws, fails
+    canonical = reduction._canonical
+
+    def corrupt(dim, mass, den):
+        heavy, light = max(mass, key=mass.get), min((p for p in mass if mass[p]), key=mass.get)
+        return canonical(dim, {**mass, heavy: mass[heavy] - 1, light: mass[light] + 1}, den)
+
+    monkeypatch.setattr(reduction, "_canonical", corrupt)
+    mu = Dist.from_entries([(0, "1/2"), (1, "3/10"), (2, "1/5")])
+    with pytest.raises(AssertionFailed, match="^decomposition failed to reconstruct the measure$") as raised:
+        extreme_decompose(mu, F(1, 2))
+    witness = raised.value.witness
+    mu1 = Dist.from_json_obj(witness["mu1"])
+    assert mu1 != Dist.from_entries([(0, "1/2"), (1, "1/5"), (2, "3/10")])
+    assert mu1.concentration()[0] <= F(1, 2)
+    assert (witness["mu"], witness["p"], witness["mu2"]) == (
+        mu.to_json_obj(), F(2, 3), extreme_point_measure(F(1, 2), [0, 1]).to_json_obj())

@@ -14,6 +14,7 @@ from anticonc import (
     binomial,
     convolve_all,
     default_p_grid,
+    delta,
     k_phase_scan,
     monotonicity_check,
     optimal_k_scan,
@@ -152,6 +153,21 @@ class TestKPhaseScan:
         with pytest.raises(TooLarge, match="6002 atoms"):
             k_phase_scan(3001, [F(1, 2)])
 
+    @given(st.integers(0, 10).map(lambda h: 2 * h + 1),
+           st.lists(st.integers(2, 80).flatmap(lambda b: st.builds(F, st.integers(1, b // 2), st.just(b))),
+                    min_size=1, max_size=6))
+    def test_cells_are_the_rows_of_optimal_k_scan(self, n, grid):
+        cells = {c.p: c for c in k_phase_scan(n, grid).cells}
+        for p in grid:
+            result = optimal_k_scan(n, p)
+            assert (cells[p].best_ks, cells[p].best_value) == (result.tied_ks(), result.best_value)
+
+    def test_each_grid_value_is_validated_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(search, "_require_p", lambda q: calls.append(q) or errors._require_p(q))
+        k_phase_scan(5, default_p_grid(8))
+        assert calls == default_p_grid(8)
+
     def test_grid_domain(self):
         with pytest.raises(ParamOutOfRange):
             k_phase_scan(3, [F(3, 5)])
@@ -188,6 +204,16 @@ class TestSignVectorMax:
         value, signs = sign_vector_max(b, 4)
         assert value == alternating_bernoulli(4, F(1, 3)).atom(0)
         assert sorted(signs) == [-1, -1, 1, 1]
+
+    @given(st.integers(1, 2).flatmap(lambda dim: st.tuples(
+        dists(dim=dim, coord_bound=3), st.integers(1, 6), st.tuples(*[st.integers(-10, 10)] * dim))))
+    def test_a_target_reads_the_law_it_used_to_form(self, case):
+        # the form that built -P_(n - j) * P_j for each j and read its atom at x
+        law, n, x = case
+        powers = list(itertools.accumulate([law] * n, Dist.convolve, initial=delta((0,) * law.dim)))
+        values = [powers[n - j].negate().convolve(powers[j]).atom(x) for j in range(n + 1)]
+        j = values.index(max(values))
+        assert sign_vector_max(law, n, x) == (values[j], (-1,) * (n - j) + (1,) * j)
 
     def test_single_summand(self):
         value, signs = sign_vector_max(bernoulli(F(1, 3)), 1)
