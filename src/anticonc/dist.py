@@ -219,7 +219,7 @@ class Dist:
         """Law of c * X for a nonzero integer c."""
         if c == 0:
             raise ZeroWeight("scaling by 0 collapses the lattice")
-        return self.map_points(lambda p: tuple(c * x for x in p))
+        return self if c == 1 else self.map_points(lambda p: tuple(c * x for x in p))
 
     def convolve(self, other: "Dist") -> "Dist":
         """Law of X + Y for independent X ~ self, Y ~ other."""

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import sys
 from fractions import Fraction
 
@@ -145,36 +144,6 @@ def _require_within(what, count, unit):
 def _require_support(summands, width):
     """Cap an exact sum of iid summands by its predicted support, summands * width."""
     _require_within(f"{summands} summands of {width} atoms", summands * width, "atoms")
-
-
-def _atom_count(runs, atoms, spans):
-    """Predicted atoms of sum_i w_i X_i, the X_i iid of `atoms` atoms whose coordinates span `spans` and the
-    weights given as (weight, times) runs: the smaller of the multisets of atoms, the product over runs of
-    C(times + atoms - 1, atoms - 1), and the points of the lattice box, the product over coordinates of
-    (L sum times |weight| span + 1), with L the lcm of the denominators."""
-    multisets = math.prod(math.comb(m + atoms - 1, atoms - 1) for _, m in runs)
-    scale = int(math.lcm(*(w.denominator for w, _ in runs)) * sum(m * abs(w) for w, m in runs))
-    return min(multisets, math.prod(scale * span + 1 for span in spans))
-
-
-def _sign_steps(n, dist):
-    """Predicted steps of a sign search over n iid copies of `dist`.
-
-    With P_j the law of j summands, the search forms P_j times the law for j < n, then -P_(n - j) times
-    P_j for j <= n.  Each of these 2n + 1 convolutions costs 40 steps, plus 1 + x y / 2^20 per atom
-    product of numerators of x and y bits; P_j has `_atom_count` atoms and numerators of at most
-    j log2(den) bits, den the law's denominator.  The count stops once it passes MAX_WORK, so n alone can
-    refuse the search.
-    """
-    atoms, spans = len(dist.support), [max(c) - min(c) for c in zip(*dist.support)]
-    bits, steps, sizes = (dist.den - 1).bit_length(), (2 * n + 1) * 40, [1]
-    while steps <= MAX_WORK and len(sizes) <= n:    # P_j times the law is P_(j + 1)
-        j = len(sizes) - 1
-        steps += sizes[j] * atoms * (1 + j * bits * bits // 2**20)
-        sizes.append(_atom_count([(1, j + 1)], atoms, spans))
-    if steps <= MAX_WORK:
-        steps += sum(sizes[n - j] * sizes[j] * (1 + (n - j) * j * bits * bits // 2**20) for j in range(n + 1))
-    return steps
 
 
 def _require_scan_work(n, points, den):

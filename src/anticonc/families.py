@@ -93,7 +93,15 @@ def binomial(n: int, p: RationalLike) -> Dist:
         raise ParamOutOfRange(f"success mass must lie in (0, 1], got {q}")
     _require_support(n, 2)
     a, b = q.numerator, q.denominator
-    return _canonical(1, {(k,): math.comb(n, k) * a**k * (b - a) ** (n - k) for k in range(n + 1)}, b**n)
+    return _canonical(1, {(k,): m for k, m in enumerate(_binomial_nums(n, a, b - a))}, b**n)
+
+
+def _binomial_nums(n: int, a: int, c: int) -> list[int]:
+    """C(n, k) a^k c^(n - k), k = 0..n, down from a^n by exact ratios k c / ((n - k + 1) a); a >= 1, so c = 0 works."""
+    nums = [a**n]
+    for k in range(n, 0, -1):
+        nums.append(nums[-1] * k * c // ((n - k + 1) * a))
+    return nums[::-1]
 
 
 def alternating_bernoulli(n: int, p: RationalLike) -> Dist:

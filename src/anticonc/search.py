@@ -12,7 +12,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import reduce
+from typing import Iterable, Sequence
 
 from .dist import (
     Dist,
@@ -23,7 +24,6 @@ from .dist import (
     as_fraction,
     as_point,
     delta,
-    weighted_sum,
 )
 from .asymptotics import local_limit_exact
 from .errors import (
@@ -32,7 +32,6 @@ from .errors import (
     ParamOutOfRange,
     QTooLarge,
     ZeroWeight,
-    _atom_count,
     _require_alpha,
     _require_at_least,
     _require_common_dim,
@@ -41,9 +40,9 @@ from .errors import (
     _require_scan_work,
     _require_support,
     _require_within,
-    _sign_steps,
     require_bound,
 )
+from .families import _binomial_nums
 
 __all__ = [
     "GridSearchResult",
@@ -110,9 +109,7 @@ def _split_rows(n: int, q: Fraction) -> tuple[KRow, ...]:
     """The rows of `optimal_k_scan` for n and a p that its callers validated."""
     a, b = q.numerator, q.denominator
     c, den = b - a, b**n
-    row = [c**n]  # C(n, j) a^j c^(n - j), each from the last by an exact division
-    for j in range(n):
-        row.append(row[-1] * (n - j) * a // ((j + 1) * c))
+    row = _binomial_nums(n, a, c)
     rows = []
     for k in range(n // 2 + 1):
         if k:
@@ -191,31 +188,59 @@ def sign_vector_max(dist: Dist, n: int, x: PointLike | None = None) -> tuple[Fra
 
     Maximizes P(sum_i s_i X_i = x) over s in {-1, +1}^n, or the largest atom
     of the signed sum when x is None.  Because the summands are iid the law
-    depends only on the number of +1 signs, so only n + 1 laws are compared,
-    and with a target each is read at x without being formed; the reported
-    witness is the lexicographically smallest maximizer.
+    depends only on the number j of +1 signs: laws j = 0..n are read at x
+    without being formed, or j <= n/2 formed (law n - j is law j mirrored);
+    the reported witness is the lexicographically smallest maximizer.
     """
     _require_at_least("n", n, 1)
-    _require_within(f"{2 * n + 1} sign-search convolutions of {n} summands", _sign_steps(n, dist), "steps")
-    powers = list(itertools.accumulate([dist] * n, Dist.convolve, initial=delta((0,) * dist.dim)))
-    best: tuple[Fraction, int] | None = None
-    for j in range(n + 1):
-        minus = powers[n - j].negate()
-        value = minus.convolve(powers[j]).concentration()[0] if x is None else _hit([minus, powers[j]], x)
-        if best is None or value > best[0]:
-            best = (value, j)
-    value, j = best
+    last = n if x is not None else n // 2
+    powers = _powers(f"{last + 1} sign laws of {n} summands", dist, n, _sign_laws(n, last))
+    value, j, _ = _best(powers, _sign_laws(n, last), x)
     return value, (-1,) * (n - j) + (1,) * j
 
 
-def _weight_orbit_key(weights: tuple[Fraction, ...]) -> tuple[int, ...]:
-    # canonical form under permutation and global rescaling
-    denom = math.lcm(*(w.denominator for w in weights))
-    ints = sorted(int(w * denom) for w in weights)
-    g = math.gcd(*(abs(i) for i in ints))
-    primitive = tuple(i // g for i in ints)
-    flipped = tuple(sorted(-i for i in primitive))
-    return min(primitive, flipped)
+def _sign_laws(n: int, last: int) -> Iterable[list[tuple[int, int]]]:
+    """The runs of sign laws j = 0..last: n - j summands with sign -1, then j with sign +1."""
+    return ([(s, m) for s, m in ((-1, n - j), (1, j)) if m] for j in range(last + 1))
+
+
+def _best(powers: list[Dist], laws: Iterable[list[tuple[int, int]]], x: PointLike | None) -> tuple[Fraction, int, Point]:
+    """Value, index and point of the first of `laws` with the largest atom (or hit at x).  The law of runs (w, m)
+    is the left fold of powers[m] scaled by w, as scaling commutes with iid sums: the law weighted_sum gives."""
+    best = None
+    for i, runs in enumerate(laws):
+        parts = [powers[m].scale(w) for w, m in runs]
+        value, point = reduce(Dist.convolve, parts).concentration() if x is None else (_hit(parts, x), x)
+        if best is None or value > best[0]:
+            best = (value, i, point)
+    return best
+
+
+def _atom_count(runs: list[tuple[int, int]], atoms: int, spans: list[int]) -> int:
+    """Predicted atoms of runs (w, m) of iid summands of `atoms` atoms spanning `spans` lattice steps: the fewer of
+    the multisets, prod C(m + atoms - 1, atoms - 1), and the box points, prod (sum m |w| span / g + 1), g = gcd(w)."""
+    multisets, width, g = 1, 0, 0
+    for w, m in runs:
+        multisets, width, g = multisets * math.comb(m + atoms - 1, atoms - 1), width + m * abs(w), math.gcd(g, w)
+    return min(multisets, math.prod([width // g * span + 1 for span in spans]))
+
+
+def _powers(what: str, dist: Dist, n: int, laws: Iterable[list[tuple[int, int]]]) -> list[Dist]:
+    """P_0..P_n, P_m the law of m iid copies of `dist`, by the chain P_(m + 1) = P_m * dist, for a search that
+    forms `laws` from them within its caps: its values (denominators dividing den^n) must print, and its plan, the
+    chain and each law's fold in `_best`, must fit the budget.  A convolution costs 40 steps plus 1 + x y / 2^20 per
+    atom product of x- and y-bit numerators, a law of M summands having `_atom_count` atoms and numerators of
+    M log2(den) bits at most.  Each law is gated once counted, so a refusal costs O(cap)."""
+    _require_within(f"exact values of {n} summands", math.floor(n * math.log10(dist.den)) + 1, "digits")
+    offsets = [[x - min(c) for x in c] for c in zip(*dist.support)]    # a coordinate's atoms lie on its offsets' gcd
+    atoms, spans = len(dist.support), [max(c) // (math.gcd(*c) or 1) for c in offsets]
+    bits, steps = (dist.den - 1).bit_length() ** 2, 0
+    for runs in itertools.chain(([(1, m), (1, 1)] for m in range(1, n)), laws):
+        for i in range(1, len(runs)):
+            products = _atom_count(runs[:i], atoms, spans) * _atom_count(runs[i:i + 1], atoms, spans)
+            steps += 40 + products * (1 + sum([m for _, m in runs[:i]]) * runs[i][1] * bits // 2**20)
+        _require_within(what, steps, "steps")
+    return [delta((0,) * dist.dim), *itertools.accumulate([dist] * (n - 1), Dist.convolve, initial=dist)]
 
 
 @dataclass(frozen=True)
@@ -238,10 +263,8 @@ def weight_grid_search(dist: Dist, n: int, grid: Sequence[RationalLike]) -> Grid
     evaluated once.  Because the summands are iid, the smallest tuple of an
     orbit in lexicographic order is sorted, so only sorted tuples are
     enumerated, in lexicographic order; the first one met represents its
-    orbit, making the reported witness the smallest maximizer.  Its work is
-    predicted before any law is built: 100 steps per sorted tuple and summand
-    for the walk, then one step per predicted atom and summand of each law;
-    the sign search it is compared with has its own budget.
+    orbit, making the reported witness the smallest maximizer.  The orbit and
+    sign laws come from one chain of powers under one budget, after a walk cap.
     """
     _require_at_least("n", n, 1)
     values = sorted({as_fraction(g) for g in grid})
@@ -251,22 +274,20 @@ def weight_grid_search(dist: Dist, n: int, grid: Sequence[RationalLike]) -> Grid
         raise ZeroWeight("grid must not contain 0")
     size = math.comb(len(values) + n - 1, n)
     _require_within(f"{size} sorted weight tuples of {n} summands", 100 * size * n, "steps")
-    orbits: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
+    orbits: dict[tuple[tuple[int, int], ...], tuple[tuple[Fraction, ...], list[tuple[int, int]]]] = {}
     for tup in itertools.combinations_with_replacement(values, n):
-        orbits.setdefault(_weight_orbit_key(tup), tup)
-    tuples = list(orbits.values())
-    atoms, spans = len(dist.support), [max(c) - min(c) for c in zip(*dist.support)]
-    laws = sum(_atom_count([(w, len(list(run))) for w, run in itertools.groupby(t)], atoms, spans) for t in tuples)
-    _require_within(f"{len(tuples)} weight orbits of {n} summands of {atoms} atoms", n * laws, "steps")
-    sign_value, sign_vector = sign_vector_max(dist, n)
-    best: tuple[Fraction, tuple[Fraction, ...], Point] | None = None
-    for tup in tuples:
-        law = weighted_sum(tup, [dist] * n).dist
-        value, argmax = law.concentration()
-        if best is None or value > best[0]:
-            best = (value, tup, argmax)
-    value, weights, argmax = best
-    return GridSearchResult(value, weights, argmax, sign_value, sign_vector, value > sign_value)
+        # runs on the lattice scaled by the tuple's lcm; its orbit's key is its primitive runs or their mirror
+        scale = math.lcm(*(w.denominator for w in tup))
+        runs = [(int(w * scale), len(list(same))) for w, same in itertools.groupby(tup)]
+        g = math.gcd(*(w for w, _ in runs))
+        key = min(tuple((w // g, m) for w, m in runs), tuple((-w // g, m) for w, m in reversed(runs)))
+        orbits.setdefault(key, (tup, runs))
+    tuples, laws = zip(*orbits.values())
+    what = f"{len(laws)} weight orbits and {n // 2 + 1} sign laws of {n} summands"
+    powers = _powers(what, dist, n, itertools.chain(laws, _sign_laws(n, n // 2)))
+    value, i, argmax = _best(powers, laws, None)
+    sign_value, j, _ = _best(powers, _sign_laws(n, n // 2), None)
+    return GridSearchResult(value, tuples[i], argmax, sign_value, (-1,) * (n - j) + (1,) * j, value > sign_value)
 
 
 def quasi_uniform_bound_check(dists: Sequence[Dist], alpha: RationalLike, x: PointLike) -> tuple[Fraction, Fraction]:

@@ -366,14 +366,14 @@ class TestScanCommands:
 
     def test_weights_on_a_spread_law_is_refused_by_its_predicted_atoms(self, tmp_path, capsys):
         # 1,287 sorted tuples pass the tuple cap, but the laws of their 1,282 orbits keep this
-        # law's atoms apart, so the search would run about 16 s
+        # law's atoms apart, so the search would run about 7 s
         spread = uniform_on([0, 1, 100, 10000])
         path = write_dists(tmp_path, "spread.json", spread)
         start = time.perf_counter()
         code, _, err = run(capsys, "scan", "weights", "--in", path, "--n", "8", "--grid-values=1,2,3,5,7,11")
         assert time.perf_counter() - start < 1
         assert code == 1
-        assert "predict 63103200 steps, above the cap 5000000" in err
+        assert "predict 5001325 steps, above the cap 5000000" in err
 
 
 class TestErrorPaths:
@@ -438,6 +438,7 @@ class TestErrorPaths:
 
 
 PAIR = '{"dim":1,"atoms":[[[0],"1/2"],[[1],"1/2"]]}'
+TINY = '{"dim":1,"atoms":[[[0],"%s/1%s"],[[1],"1/1%s"]]}' % ("9" * 300, "0" * 300, "0" * 300)
 
 # Commands over a work cap: each is refused before the work starts
 TOO_LARGE = [
@@ -490,6 +491,10 @@ GUARDED = [
      "4001 terms of the central coefficient at n = 8000 predict 24004 digits, above the cap"),
     (None, "asym wagner --n 1434 --b 1/1000 --c 1/4",
      "718 terms of the central coefficient at n = 1434 predict 4303 digits, above the cap"),
+    # a search value over Bernoulli(1/10^300) at n = 15 has a denominator of up to 4,501 digits
+    (TINY, "scan signs --in {in} --n 15", "exact values of 15 summands predict 4501 digits, above the cap 4300"),
+    (TINY, "scan weights --in {in} --n 15 --grid-values=-1,1",
+     "exact values of 15 summands predict 4501 digits, above the cap 4300"),
     # the central coefficient and its expansion both underflow a float; the residual divided by 0.0
     (None, "asym wagner --n 379 --b 6520/8330001 --c 22/53907780", "the expansion at n = 379 is below the float range"),
     ('[{"dim":1,"atoms":[[[0],"1/1"]]},{"dim":2,"atoms":[[[0,0],"1/1"]]}]', "check monotone --in {in}",
@@ -541,13 +546,14 @@ EIGHT = json.dumps(uniform_on([0, 1, 7, 50, 333, 2000, 15000, 99999]).to_json_ob
 @pytest.mark.parametrize("text, command", TOO_LARGE + [
     (SPREAD, "scan weights --in {in} --n 8 --grid-values=1,2,3,5,7,11"),
     (EIGHT, "scan signs --in {in} --n 24"),
+    (TINY, "scan signs --in {in} --n 15"),
 ])
 def test_every_size_refusal_has_one_shape(tmp_path, capsys, text, command):
-    # one gate raises every cap refusal; the sign search on 8 spread atoms would run about 17 hours
+    # one gate raises every cap refusal; the sign search on 8 spread atoms predicts 1.4e10 steps, hours of work
     start = time.perf_counter()
     err = _run_malformed(tmp_path, capsys, text, command)
     assert time.perf_counter() - start < 1
-    assert re.fullmatch(r"error: .+ predict \d+ (atoms|steps), above the cap \d+\n", err)
+    assert re.fullmatch(r"error: .+ predict \d+ (atoms|steps|digits), above the cap \d+\n", err)
 
 
 @pytest.mark.parametrize("sub, checker, instance_keys", [

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given
 
 from anticonc import (
@@ -15,6 +16,7 @@ from anticonc import (
     self_convolve,
     weighted_sum,
 )
+from anticonc.families import _binomial_nums
 from anticonc.errors import AlphaOutOfRange, ParamOutOfRange, RestPointInSupport, TooLarge, WrongSupportSize
 
 from conftest import fractions_in_unit
@@ -84,6 +86,11 @@ class TestBinomial:
         for n in range(7):
             for p in (F(1, 2), F(1, 3), F(2, 7)):
                 assert binomial(n, p) == self_convolve(bernoulli(p), n)
+
+    @given(st.integers(0, 60), st.integers(1, 50), st.integers(0, 50))
+    def test_numerators_match_the_closed_form(self, n, a, c):
+        # the running ratio gives each C(n, k) a^k c^(n - k) exactly, c = 0 (p = 1) and n = 0 included
+        assert _binomial_nums(n, a, c) == [math.comb(n, k) * a**k * c ** (n - k) for k in range(n + 1)]
 
     def test_degenerate_edges(self):
         assert binomial(0, F(1, 3)) == delta(0)

@@ -27,6 +27,8 @@ from anticonc import (
     weighted_sum,
 )
 from anticonc import errors, search
+from anticonc.dist import _hit
+from anticonc.search import GridSearchResult
 from anticonc.errors import AssertionFailed, EvenN, OddN, ParamOutOfRange, QTooLarge, TooLarge, ZeroWeight
 from anticonc.sampling import random_capped_dist, random_dist
 from conftest import dists
@@ -222,33 +224,9 @@ class TestSignVectorMax:
     def test_cap(self):
         # the cap is a prediction of work, not of n: 25 Bernoulli summands are cheap, 24 of 8 spread atoms are not
         assert sign_vector_max(bernoulli(F(1, 2)), 25) == (F(1300075, 8388608), (-1,) * 25)
-        msg = "49 sign-search convolutions of 24 summands predict 5885728 steps, above the cap 5000000"
+        msg = "13 sign laws of 24 summands predict 5884400 steps, above the cap 5000000"
         with pytest.raises(TooLarge, match=msg):
             sign_vector_max(uniform_on([0, 1, 7, 50, 333, 2000, 15000, 99999]), 24)
-
-    @given(st.one_of(dists(coord_bound=2), dists(coord_bound=1000)), st.integers(1, 8), st.integers(0, 2**400))
-    @example(uniform_on([0, 1, 100, 10000]), 8, 2**400)
-    def test_sign_budget_never_undercounts(self, law, n, tilt):
-        # each convolution the search forms costs 40 steps plus its atom products, each weighted by the bits
-        # of the two numerators, so a budget one below the steps counted through Dist.convolve always refuses
-        # it; a heavy first atom gives long numerators, which the prediction must cover too
-        weights = [m + tilt * (i == 0) for i, m in enumerate(law.nums)]
-        law = Dist.from_entries((p, F(w, sum(weights))) for p, w in zip(law.support, weights))
-        steps = []
-        convolve = Dist.convolve
-
-        def counted(a, b):
-            bits = max(a.nums).bit_length() * max(b.nums).bit_length()
-            steps.append(40 + len(a.support) * len(b.support) * (1 + bits // 2**20))
-            return convolve(a, b)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(Dist, "convolve", counted)
-            patch.setattr(errors, "MAX_WORK", math.inf)
-            sign_vector_max(law, n)
-            patch.setattr(errors, "MAX_WORK", sum(steps) - 1)
-            with pytest.raises(TooLarge, match="sign-search convolutions"):
-                sign_vector_max(law, n)
 
 
 class TestWeightGridSearch:
@@ -288,29 +266,92 @@ class TestWeightGridSearch:
         with pytest.raises(TooLarge, match=msg):
             weight_grid_search(bernoulli(F(1, 2)), 14, [F(v) for v in range(1, 7)])
 
-    def test_atom_budget_never_undercounts(self, monkeypatch):
-        # every law the search builds, one per orbit, has at most its predicted atoms, so the
-        # steps predicted for the orbits are at least n times their real total
-        supports, predicted = [], {}
 
-        def recorded(weights, components):
-            scaled = weighted_sum(weights, components)
-            supports.append(len(scaled.dist.support))
-            return scaled
+def reference_sign_vector_max(dist, n, x=None):
+    # the search before the plan: every law j = 0..n formed from P_(n - j) and P_j, or read at x
+    powers = list(itertools.accumulate([dist] * n, Dist.convolve, initial=delta((0,) * dist.dim)))
+    best = None
+    for j in range(n + 1):
+        minus = powers[n - j].negate()
+        value = minus.convolve(powers[j]).concentration()[0] if x is None else _hit([minus, powers[j]], x)
+        if best is None or value > best[0]:
+            best = (value, j)
+    value, j = best
+    return value, (-1,) * (n - j) + (1,) * j
 
-        monkeypatch.setattr(search, "weighted_sum", recorded)
-        monkeypatch.setattr(search, "_require_within", lambda what, count, unit: predicted.update({what: count}))
-        rng = random.Random(3)
-        for dim in (1, 2):
-            for _ in range(25):
-                d = random_dist(rng, dim=dim)
-                grid = sorted({F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)) for _ in range(3)})
-                n = rng.randint(1, 4)
-                supports.clear()
-                predicted.clear()
-                weight_grid_search(d, n, grid)
-                (orbits,) = [count for what, count in predicted.items() if "weight orbits" in what]
-                assert orbits >= n * sum(supports)
+
+def reference_weight_orbit_key(weights):
+    # canonical form under permutation and global rescaling
+    denom = math.lcm(*(w.denominator for w in weights))
+    ints = sorted(int(w * denom) for w in weights)
+    g = math.gcd(*(abs(i) for i in ints))
+    primitive = tuple(i // g for i in ints)
+    flipped = tuple(sorted(-i for i in primitive))
+    return min(primitive, flipped)
+
+
+def reference_weight_grid_search(dist, n, grid):
+    # the search before the plan: each orbit's law from n summands through weighted_sum, and a separate sign search
+    orbits = {}
+    for tup in itertools.combinations_with_replacement(sorted(set(grid)), n):
+        orbits.setdefault(reference_weight_orbit_key(tup), tup)
+    sign_value, sign_vector = reference_sign_vector_max(dist, n)
+    best = None
+    for tup in orbits.values():
+        value, argmax = weighted_sum(tup, [dist] * n).dist.concentration()
+        if best is None or value > best[0]:
+            best = (value, tup, argmax)
+    value, weights, argmax = best
+    return GridSearchResult(value, weights, argmax, sign_value, sign_vector, value > sign_value)
+
+
+GRID = st.lists(st.sampled_from([F(v, d) for v in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3)]), min_size=1, max_size=4)
+
+
+@given(st.integers(1, 2).flatmap(lambda dim: st.tuples(
+    dists(dim=dim, coord_bound=3), st.integers(1, 5), st.tuples(*[st.integers(-6, 6)] * dim), GRID)))
+@example((uniform_on([0, 1, 2]), 4, (0,), [F(-1), F(1), F(2)]))
+@example((bernoulli(F(1, 2)), 5, (1,), [F(-1, 2), F(1, 2), F(1)]))
+@example((uniform_on([(0, 0), (1, 1), (1, -1)]), 3, (1, 1), [F(-2, 3), F(1, 3), F(2)]))
+def test_searches_match_the_reference(case):
+    # field by field, ties included: the same values, witnesses and argmax as the searches built law by law
+    law, n, x, grid = case
+    assert sign_vector_max(law, n) == reference_sign_vector_max(law, n)
+    assert sign_vector_max(law, n, x) == reference_sign_vector_max(law, n, x)
+    assert vars(weight_grid_search(law, n, grid)) == vars(reference_weight_grid_search(law, n, grid))
+
+
+@given(st.integers(1, 2).flatmap(lambda dim: st.tuples(
+    st.one_of(dists(dim=dim, coord_bound=2), dists(dim=dim, coord_bound=1000)), st.integers(1, 6),
+    st.none() | st.tuples(*[st.integers(-4, 4)] * dim), GRID)), st.integers(0, 2**400))
+@example((uniform_on([0, 1, 100, 10000]), 6, None, [F(1), F(2), F(3)]), 2**400)
+@example((uniform_on([(0, 0), (1, 0), (0, 1), (3, 2)]), 6, (1, 1), [F(-1), F(1, 2), F(2)]), 2**400)
+@example((uniform_on([(-5, 0), (-2, 4), (1, 2), (4, 0)]), 6, None, [F(2, 3), F(1), F(-3, 2)]), 0)
+def test_search_budget_never_undercounts(case, tilt):
+    # each convolution a search forms costs 40 steps plus its atom products, each weighted by the bits of the
+    # two numerators; the steps its plan predicts are never fewer than those counted through Dist.convolve, and
+    # a heavy first atom gives long numerators, which the prediction must cover too
+    law, n, x, grid = case
+    weights = [m + tilt * (i == 0) for i, m in enumerate(law.nums)]
+    law = Dist.from_entries((p, F(w, sum(weights))) for p, w in zip(law.support, weights))
+    convolve = Dist.convolve
+
+    def counted(a, b):
+        bits = max(a.nums).bit_length() * max(b.nums).bit_length()
+        steps.append(40 + len(a.support) * len(b.support) * (1 + bits // 2**20))
+        return convolve(a, b)
+
+    def predicted(what, count, unit):
+        if "sign laws" in what and unit == "steps":
+            plans.append(count)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Dist, "convolve", counted)
+        patch.setattr(search, "_require_within", predicted)
+        for run in (lambda: sign_vector_max(law, n, x), lambda: weight_grid_search(law, n, grid)):
+            steps, plans = [], []
+            run()
+            assert plans[-1] >= sum(steps)
 
 
 class TestQuasiUniformBoundCheck:
