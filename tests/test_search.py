@@ -187,6 +187,27 @@ def brute_sign_max(dist, n, x=None):
     return best
 
 
+GRID = st.lists(st.sampled_from([F(v, d) for v in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3)]), min_size=1, max_size=4)
+
+
+def tilted(law, tilt):
+    # the law with `tilt` added to its first numerator: a heavy first atom gives long numerators
+    weights = [m + tilt * (i == 0) for i, m in enumerate(law.nums)]
+    return Dist.from_entries((p, F(w, sum(weights))) for p, w in zip(law.support, weights))
+
+
+def counting_convolutions(patch, steps):
+    # each convolution costs 40 steps plus its atom products, each weighted by the bits of the two numerators
+    convolve = Dist.convolve
+
+    def counted(a, b):
+        bits = max(a.nums).bit_length() * max(b.nums).bit_length()
+        steps.append(40 + len(a.support) * len(b.support) * (1 + bits // 2**20))
+        return convolve(a, b)
+
+    patch.setattr(Dist, "convolve", counted)
+
+
 class TestSignVectorMax:
     def test_matches_brute_force(self):
         cases = [
@@ -228,6 +249,23 @@ class TestSignVectorMax:
         with pytest.raises(TooLarge, match=msg):
             sign_vector_max(uniform_on([0, 1, 7, 50, 333, 2000, 15000, 99999]), 24)
 
+    @given(st.integers(1, 2).flatmap(lambda dim: st.tuples(
+        st.one_of(dists(dim=dim, coord_bound=2), dists(dim=dim, coord_bound=1000)), st.integers(1, 8),
+        st.none() | st.tuples(*[st.integers(-4, 4)] * dim))), st.integers(0, 2**400))
+    @example((uniform_on([0, 1, 100, 10000]), 8, None), 2**400)
+    @example((uniform_on([(0, 0), (1, 0), (0, 1), (3, 2)]), 6, (1, 1)), 2**400)
+    def test_sign_budget_never_undercounts(self, case, tilt):
+        # a budget one below the steps counted through Dist.convolve always refuses the search
+        law, n, x = case
+        law, steps = tilted(law, tilt), []
+        with pytest.MonkeyPatch.context() as patch:
+            counting_convolutions(patch, steps)
+            patch.setattr(errors, "MAX_WORK", math.inf)
+            sign_vector_max(law, n, x)
+            patch.setattr(errors, "MAX_WORK", sum(steps) - 1)
+            with pytest.raises(TooLarge, match="sign laws"):
+                sign_vector_max(law, n, x)
+
 
 class TestWeightGridSearch:
     def test_sign_grid_reduces_to_sign_search(self):
@@ -265,6 +303,22 @@ class TestWeightGridSearch:
         msg = "11628 sorted weight tuples of 14 summands predict 16279200 steps, above the cap 5000000"
         with pytest.raises(TooLarge, match=msg):
             weight_grid_search(bernoulli(F(1, 2)), 14, [F(v) for v in range(1, 7)])
+
+    @given(st.integers(1, 2).flatmap(lambda dim: st.tuples(
+        st.one_of(dists(dim=dim, coord_bound=2), dists(dim=dim, coord_bound=1000)), st.integers(1, 6), GRID)),
+        st.integers(0, 2**400))
+    @example((uniform_on([0, 1, 100, 10000]), 6, [F(1), F(2), F(3)]), 2**400)
+    @example((uniform_on([(-5, 0), (-2, 4), (1, 2), (4, 0)]), 6, [F(2, 3), F(1), F(-3, 2)]), 0)
+    def test_atom_budget_never_undercounts(self, case, tilt):
+        # the steps the plan predicts for the weight orbits and sign laws are never fewer than those counted
+        # through Dist.convolve; the walk cap before it counts no convolution
+        law, n, grid = case
+        law, steps, predicted = tilted(law, tilt), [], []
+        with pytest.MonkeyPatch.context() as patch:
+            counting_convolutions(patch, steps)
+            patch.setattr(search, "_require_within", lambda what, count, unit: predicted.append((what, count)))
+            weight_grid_search(law, n, grid)
+        assert [count for what, count in predicted if "weight orbits" in what][-1] >= sum(steps)
 
 
 def reference_sign_vector_max(dist, n, x=None):
@@ -305,9 +359,6 @@ def reference_weight_grid_search(dist, n, grid):
     return GridSearchResult(value, weights, argmax, sign_value, sign_vector, value > sign_value)
 
 
-GRID = st.lists(st.sampled_from([F(v, d) for v in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3)]), min_size=1, max_size=4)
-
-
 @given(st.integers(1, 2).flatmap(lambda dim: st.tuples(
     dists(dim=dim, coord_bound=3), st.integers(1, 5), st.tuples(*[st.integers(-6, 6)] * dim), GRID)))
 @example((uniform_on([0, 1, 2]), 4, (0,), [F(-1), F(1), F(2)]))
@@ -319,39 +370,6 @@ def test_searches_match_the_reference(case):
     assert sign_vector_max(law, n) == reference_sign_vector_max(law, n)
     assert sign_vector_max(law, n, x) == reference_sign_vector_max(law, n, x)
     assert vars(weight_grid_search(law, n, grid)) == vars(reference_weight_grid_search(law, n, grid))
-
-
-@given(st.integers(1, 2).flatmap(lambda dim: st.tuples(
-    st.one_of(dists(dim=dim, coord_bound=2), dists(dim=dim, coord_bound=1000)), st.integers(1, 6),
-    st.none() | st.tuples(*[st.integers(-4, 4)] * dim), GRID)), st.integers(0, 2**400))
-@example((uniform_on([0, 1, 100, 10000]), 6, None, [F(1), F(2), F(3)]), 2**400)
-@example((uniform_on([(0, 0), (1, 0), (0, 1), (3, 2)]), 6, (1, 1), [F(-1), F(1, 2), F(2)]), 2**400)
-@example((uniform_on([(-5, 0), (-2, 4), (1, 2), (4, 0)]), 6, None, [F(2, 3), F(1), F(-3, 2)]), 0)
-def test_search_budget_never_undercounts(case, tilt):
-    # each convolution a search forms costs 40 steps plus its atom products, each weighted by the bits of the
-    # two numerators; the steps its plan predicts are never fewer than those counted through Dist.convolve, and
-    # a heavy first atom gives long numerators, which the prediction must cover too
-    law, n, x, grid = case
-    weights = [m + tilt * (i == 0) for i, m in enumerate(law.nums)]
-    law = Dist.from_entries((p, F(w, sum(weights))) for p, w in zip(law.support, weights))
-    convolve = Dist.convolve
-
-    def counted(a, b):
-        bits = max(a.nums).bit_length() * max(b.nums).bit_length()
-        steps.append(40 + len(a.support) * len(b.support) * (1 + bits // 2**20))
-        return convolve(a, b)
-
-    def predicted(what, count, unit):
-        if "sign laws" in what and unit == "steps":
-            plans.append(count)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Dist, "convolve", counted)
-        patch.setattr(search, "_require_within", predicted)
-        for run in (lambda: sign_vector_max(law, n, x), lambda: weight_grid_search(law, n, grid)):
-            steps, plans = [], []
-            run()
-            assert plans[-1] >= sum(steps)
 
 
 class TestQuasiUniformBoundCheck:
