@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import asymptotics, sampling, search
 from .dist import Dist, as_fraction, convolve_all, format_fraction
-from .errors import AssertionFailed, _require_at_least, _require_scan_work
+from .errors import AssertionFailed, _require_at_least
 from .families import alternating_bernoulli, binomial, quasi_uniform
 from .reduction import Extremal, balancing_bound, extreme_decompose
 from .transforms import CenteredSeq, birnbaum_sides, gabriel_sides, rearrange_left, rearrange_right, rearrange_symmetric
@@ -181,7 +181,7 @@ def _draw_birnbaum(args, rng: random.Random) -> dict:
 
 def _trial_birnbaum(instance: dict) -> None:
     laws = (instance["X"], instance["Y"], instance["Yp"])
-    radius = max(abs(x) for d in laws for (x,), _ in d.atoms)
+    radius = max(abs(x) for d in laws for (x,) in d.support)
     for k in range(2 * radius + 1):
         birnbaum_sides(*laws, k)
 
@@ -362,7 +362,7 @@ def _asym_largeodd(args) -> _Rows:
 
 
 def _scan_kphase(args) -> _Rows:
-    _require_scan_work(args.n, args.grid, 2 * args.grid)
+    search._require_ladder(args.n, args.grid, 2 * args.grid)
     diagram = search.k_phase_scan(args.n, search.default_p_grid(args.grid))
     rows = [
         (diagram.n, c.p.numerator, c.p.denominator, ";".join(str(k) for k in c.best_ks), format_fraction(c.best_value))

@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
-from .errors import DimensionMismatch, MassNotOne, NegativeMass, ZeroWeight, _require_at_least, _require_common_dim
+from .errors import (DimensionMismatch, MassNotOne, NegativeMass, ZeroWeight, _product, _require_at_least,
+                     _require_common_dim, _require_plan, _require_within)
 
 __all__ = [
     "Dist",
@@ -205,8 +208,8 @@ class Dist:
         return _canonical(self.dim, mass, self.den)
 
     def negate(self) -> "Dist":
-        """Law of -X."""
-        return self.map_points(lambda p: tuple(-c for c in p))
+        """Law of -X: negated points run in reverse lexicographic order, so the numerators are reused as they are."""
+        return Dist(self.dim, tuple([tuple([-c for c in p]) for p in self.support[::-1]]), self.nums[::-1], self.den)
 
     def shift(self, v: PointLike) -> "Dist":
         """Law of X + v."""
@@ -219,7 +222,7 @@ class Dist:
         """Law of c * X for a nonzero integer c."""
         if c == 0:
             raise ZeroWeight("scaling by 0 collapses the lattice")
-        return self if c == 1 else self.map_points(lambda p: tuple(c * x for x in p))
+        return self if c == 1 else self.negate() if c == -1 else self.map_points(lambda p: tuple(c * x for x in p))
 
     def convolve(self, other: "Dist") -> "Dist":
         """Law of X + Y for independent X ~ self, Y ~ other."""
@@ -227,10 +230,12 @@ class Dist:
             raise DimensionMismatch(f"cannot convolve dim {self.dim} with dim {other.dim}")
         # Each point becomes one int in balanced base `radix`, first coordinate
         # most significant; the radix leaves room for every coordinate of a
-        # sum, so adding two keys adds the points without carries.
+        # sum, so adding two keys adds the points without carries, and key
+        # order is point order.
         half = 2 * max([abs(c) for d in (self, other) for p in d.support for c in p])
         radix = 2 * half + 1
-        left, right = ([(reduce(lambda k, c: k * radix + c, p, 0), m) for p, m in zip(d.support, d.nums)]
+        weights = [radix**i for i in reversed(range(self.dim))]
+        left, right = ([(sum(map(operator.mul, p, weights)), m) for p, m in zip(d.support, d.nums)]
                        for d in (self, other))
         mass: dict[int, int] = {}
         get = mass.get
@@ -238,13 +243,8 @@ class Dist:
             for kq, mq in right:
                 k = kp + kq
                 mass[k] = get(k, 0) + mp * mq
-        points: dict[Point, int] = {}
-        for k, m in mass.items():
-            coords = []
-            for _ in range(self.dim):
-                coords.append((k + half) % radix - half)
-                k = (k - coords[-1]) // radix
-            points[tuple(coords[::-1])] = m
+        shift = half * sum(weights)     # every digit of k + shift lies in 0..radix - 1
+        points = {tuple([(k + shift) // w % radix - half for w in weights]): m for k, m in sorted(mass.items())}
         return _canonical(self.dim, points, self.den * other.den)
 
     # -- serialization -------------------------------------------------
@@ -301,10 +301,27 @@ def uniform_on(points: Iterable[PointLike]) -> Dist:
 
 
 def convolve_all(dists: Sequence[Dist]) -> Dist:
-    """Law of the sum of independent draws, one per distribution."""
+    """Law of the sum of independent draws, one per distribution, within the atom and step caps."""
     if not dists:
         raise ValueError("need at least one distribution")
+    if len(dists) > 1:
+        _require_plan(f"the sum of {len(dists)} laws", _fold(f"the sum of {len(dists)} laws", dists))
     return reduce(Dist.convolve, dists)
+
+
+def _fold(what: str, dists: Sequence[Dist]) -> Iterable[int]:
+    """Steps of each product of the left fold of `dists`.  The sum of the first i laws, refused above MAX_ATOMS, has at
+    most the multisets of their atoms or the points of their summed box, and at most their dens' summed bits."""
+    copies, box, atoms, bits = Counter(), [0] * dists[0].dim, 1, 0
+    for i, d in enumerate(dists):
+        copies[d] += 1
+        box = [w + max(c) - min(c) for w, c in zip(box, zip(*d.support))]
+        multisets = math.prod([math.comb(m + len(e.support) - 1, m) for e, m in copies.items()])
+        summed = min(multisets, math.prod([w + 1 for w in box]))
+        if i:
+            _require_within(what, summed, "atoms")
+            yield _product(atoms, len(d.support), bits, (d.den - 1).bit_length())
+        atoms, bits = summed, bits + (d.den - 1).bit_length()
 
 
 def self_convolve(dist: Dist, n: int) -> Dist:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
 import sys
-from fractions import Fraction
 
 
 class DimensionMismatch(ValueError):
@@ -11,10 +11,7 @@ class DimensionMismatch(ValueError):
 
 
 class MassNotOne(ValueError):
-    """Total mass of a distribution is not exactly 1.
-
-    `deficit` is the exact rational 1 - total.
-    """
+    """Total mass of a distribution is not exactly 1; `deficit` is the exact rational 1 - total."""
 
     def __init__(self, deficit):
         self.deficit = deficit
@@ -89,11 +86,8 @@ class AssertionFailed(RuntimeError):
 
 
 def require_bound(message, lhs, rhs, **witness):
-    """Raise AssertionFailed unless the checked bound lhs <= rhs holds.
-
-    The one place where a violated comparison becomes a failure; the witness
-    holds the caller's replay fields followed by both sides.
-    """
+    """Raise AssertionFailed unless lhs <= rhs: the one place where a violated bound becomes a failure, its
+    witness holding the caller's replay fields followed by both sides."""
     if lhs > rhs:
         raise AssertionFailed(message, witness={**witness, "lhs": lhs, "rhs": rhs})
 
@@ -117,47 +111,50 @@ def _require_alpha(a):
     return a
 
 
-_HALF = Fraction(1, 2)
-
-
 def _require_p(q):
-    if not 0 < q <= _HALF:
+    if not 0 < 2 * q.numerator <= q.denominator:
         raise ParamOutOfRange(f"success mass must lie in (0, 1/2], got {q}")
     return q
 
 
-# -- work caps: one gate, and one budget of steps for every search ---------
+# -- work caps: one gate per unit, and one price per kernel ---------------
 
 MAX_ATOMS = 4096                # atoms of one exact law
-MAX_WORK = 5_000_000            # steps of one search, each near a microsecond
+MAX_WORK = 5_000_000            # steps of one plan, each near a microsecond
 
 
 def _require_within(what, count, unit):
-    """The one gate of every work cap: `what` predict `count` `unit`, atoms of one exact law against
-    MAX_ATOMS, steps of one search against MAX_WORK, or decimal digits of one exact number against the
-    interpreter's limit on int-to-str conversion, which caps nothing when it is 0."""
+    """The one gate of every work cap: `what` predict `count` `unit`, atoms of one exact law against MAX_ATOMS, steps
+    of one plan against MAX_WORK, or digits of one exact number against the interpreter's int-to-str limit (if any)."""
     cap = MAX_ATOMS if unit == "atoms" else MAX_WORK if unit == "steps" else sys.get_int_max_str_digits()
     if cap and count > cap:
         raise TooLarge(f"{what} predict {count} {unit}, above the cap {cap}")
 
 
-def _require_support(summands, width):
-    """Cap an exact sum of iid summands by its predicted support, summands * width."""
-    _require_within(f"{summands} summands of {width} atoms", summands * width, "atoms")
+def _product(a, b, x, y):
+    """Steps of one dict convolution of a- and b-atom laws of x- and y-bit numerators: 40, plus 1 + x y / 2^20 each."""
+    return 40 + a * b * (2**20 + x * y) // 2**20
 
 
-def _require_scan_work(n, points, den):
-    """Cap a sign-split scan of n summands at `points` values of p by its predicted work.
+def _lookups(head, last, x, y):
+    """Steps of one hit: a table of the last law's atoms, then per head atom a lookup and a product (2 + x y / 2^20)."""
+    return last + head * (2**21 + x * y) // 2**20
 
-    Each p costs a fixed 80 steps plus (n // 2 + 1) rows of n + 1 big-int
-    coefficient updates; an update counts 1 + bits / 4096 steps, where bits =
-    n log2(den) bounds a numerator and `den` is the largest denominator of p.
-    """
-    _require_at_least("n", n, 1)
-    _require_support(n, 2)
-    bits = n * (den - 1).bit_length()
-    steps = points * (80 + (n // 2 + 1) * (n + 1) * (4096 + bits) // 4096)
-    _require_within(f"{points} values of p at n = {n} (denominators up to {den})", steps, "steps")
+
+def _updates(count, bits, den):
+    """Steps of a pass of `count` updates of `bits`-bit coefficients (binomial recurrence, row ladder) dividing by
+    factors of p's denominator den: 80, plus 1 + bits limbs / 4096 each, limbs the 64-bit limbs of den."""
+    return 80 + count * (4096 + bits * -(-den.bit_length() // 64)) // 4096
+
+
+def _require_plan(what, prices):
+    """The one gate of MAX_WORK: `what` predict the sum of `prices`, the steps of a plan's kernel calls in order.
+    The sum stops once it passes the cap, so a refusal costs O(cap) and reports the steps counted so far."""
+    steps = 0
+    for steps in itertools.accumulate(prices):
+        if steps > MAX_WORK:
+            break
+    _require_within(what, steps, "steps")
 
 
 def _require_positive_coeffs(b, c):

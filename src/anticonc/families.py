@@ -15,9 +15,9 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .dist import Dist, PointLike, RationalLike, _canonical, as_fraction, as_point
+from .dist import Dist, PointLike, RationalLike, _canonical, as_fraction, as_point, convolve_all
 from .errors import (ParamOutOfRange, RestPointInSupport, WrongSupportSize, _require_alpha, _require_at_least,
-                     _require_p, _require_support)
+                     _require_p, _require_plan, _require_within, _updates)
 
 __all__ = [
     "alternating_bernoulli",
@@ -85,14 +85,16 @@ def bernoulli(p: RationalLike) -> Dist:
 def binomial(n: int, p: RationalLike) -> Dist:
     """Binomial law via the exact closed-form pmf; n = 0 is the point mass at 0.
 
-    With p = a/b the mass at k is C(n, k) a^k (b - a)^(n - k) / b^n.
+    With p = a/b the mass at k is C(n, k) a^k (b - a)^(n - k) / b^n; b^n must print.
     """
     q = as_fraction(p)
     _require_at_least("n", n, 0)
     if not 0 < q <= 1:
         raise ParamOutOfRange(f"success mass must lie in (0, 1], got {q}")
-    _require_support(n, 2)
+    _require_within(f"{n} summands of 2 atoms", 2 * n, "atoms")
     a, b = q.numerator, q.denominator
+    _require_within(f"exact values of {n} summands", math.floor(n * math.log10(b)) + 1, "digits")
+    _require_plan(f"a binomial law of {n} summands", [_updates(n + 1, n * (b - 1).bit_length(), b)])
     return _canonical(1, {(k,): m for k, m in enumerate(_binomial_nums(n, a, b - a))}, b**n)
 
 
@@ -110,9 +112,7 @@ def alternating_bernoulli(n: int, p: RationalLike) -> Dist:
     ceil(n/2) summands enter with sign +1 and floor(n/2) with sign -1, so
     the result is the difference of two independent binomials.
     """
-    _require_at_least("n", n, 1)
-    _require_support(n, 2)
-    return signed_binomial_diff(n, n // 2, p)
+    return convolve_all(_alternating_halves(n, p))
 
 
 def _alternating_halves(n: int, p: RationalLike) -> list[Dist]:
@@ -120,14 +120,14 @@ def _alternating_halves(n: int, p: RationalLike) -> list[Dist]:
     the two sides of alternating_bernoulli(n, p), so that one atom of their sum
     can be read with `dist._hit` without forming it."""
     _require_at_least("n", n, 1)
-    _require_support(n, 2)
+    _require_within(f"{n} summands of 2 atoms", 2 * n, "atoms")
     q = _require_p(as_fraction(p))
     return [binomial(n - n // 2, q), binomial(n // 2, q).negate()]
 
 
 def signed_binomial_diff(n: int, k: int, p: RationalLike) -> Dist:
-    """Law of B - B' with B ~ Binomial(n - k, p), B' ~ Binomial(k, p) independent."""
+    """Law of B - B' with B ~ Binomial(n - k, p), B' ~ Binomial(k, p) independent: their product within the step cap."""
     if not 0 <= k <= n:
         raise ParamOutOfRange(f"need 0 <= k <= n, got k={k}, n={n}")
     q = _require_p(as_fraction(p))
-    return binomial(n - k, q).convolve(binomial(k, q).negate())
+    return convolve_all([binomial(n - k, q), binomial(k, q).negate()])

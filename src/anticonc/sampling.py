@@ -55,13 +55,8 @@ def random_capped_dist(rng: random.Random, alpha) -> Dist:
 
 
 def _layer_dist(layers: list[Fraction]) -> Dist:
-    entries = []
-    for radius, mass in enumerate(layers):
-        if mass == 0:
-            continue
-        share = mass / (2 * radius + 1)
-        entries.extend(((x, share) for x in range(-radius, radius + 1)))
-    return Dist.from_entries(entries)
+    # mass m of a layer of radius r spread evenly over -r..r
+    return Dist.from_entries((x, m / (2 * r + 1)) for r, m in enumerate(layers) if m for x in range(-r, r + 1))
 
 
 def random_symmetric_unimodal(rng: random.Random) -> Dist:

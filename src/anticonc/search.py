@@ -15,33 +15,11 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Sequence
 
-from .dist import (
-    Dist,
-    Point,
-    PointLike,
-    RationalLike,
-    _hit,
-    as_fraction,
-    as_point,
-    delta,
-)
+from .dist import Dist, Point, PointLike, RationalLike, _hit, as_fraction, as_point, delta
 from .asymptotics import local_limit_exact
-from .errors import (
-    AssertionFailed,
-    EvenN,
-    ParamOutOfRange,
-    QTooLarge,
-    ZeroWeight,
-    _require_alpha,
-    _require_at_least,
-    _require_common_dim,
-    _require_even,
-    _require_p,
-    _require_scan_work,
-    _require_support,
-    _require_within,
-    require_bound,
-)
+from .errors import (AssertionFailed, EvenN, ParamOutOfRange, QTooLarge, ZeroWeight, _lookups, _product,
+                     _require_alpha, _require_at_least, _require_common_dim, _require_even, _require_p, _require_plan,
+                     _require_within, _updates, require_bound)
 from .families import _binomial_nums
 
 __all__ = [
@@ -97,12 +75,19 @@ def optimal_k_scan(n: int, p: RationalLike) -> KScanResult:
     cell; a mode outside raises AssertionFailed.  Smaller k and smaller x
     win ties.
     """
-    _require_at_least("n", n, 1)
-    _require_support(n, 2)
     q = _require_p(as_fraction(p))
+    _require_ladder(n, 1, q.denominator)
     rows = _split_rows(n, q)
     best = max(rows, key=lambda r: (r.value, -r.k))
     return KScanResult(n, q, best.k, best.x, best.value, rows)
+
+
+def _require_ladder(n: int, points: int, den: int) -> None:
+    """Gate `points` values of p of denominators up to den: each is a pass of `_split_rows`, on n log2(den) bits."""
+    _require_at_least("n", n, 1)
+    _require_within(f"{n} summands of 2 atoms", 2 * n, "atoms")
+    price = _updates((n // 2 + 1) * (n + 1), n * (den - 1).bit_length(), den)
+    _require_plan(f"{points} values of p at n = {n} (denominators up to {den})", [points * price])
 
 
 def _split_rows(n: int, q: Fraction) -> tuple[KRow, ...]:
@@ -169,7 +154,7 @@ def k_phase_scan(n: int, p_grid: Sequence[RationalLike]) -> PhaseDiagram:
     ps = sorted({_require_p(as_fraction(p)) for p in p_grid}, key=lambda p: (float(p), p))
     if not ps:
         raise ParamOutOfRange("empty grid")
-    _require_scan_work(n, len(ps), max(p.denominator for p in ps))
+    _require_ladder(n, len(ps), max(p.denominator for p in ps))
     if n % 2 == 0:
         raise EvenN(f"scan is defined for odd n, got {n}")
     cells = []
@@ -194,7 +179,7 @@ def sign_vector_max(dist: Dist, n: int, x: PointLike | None = None) -> tuple[Fra
     """
     _require_at_least("n", n, 1)
     last = n if x is not None else n // 2
-    powers = _powers(f"{last + 1} sign laws of {n} summands", dist, n, _sign_laws(n, last))
+    powers = _powers(f"{last + 1} sign laws of {n} summands", dist, n, _sign_laws(n, last), x)
     value, j, _ = _best(powers, _sign_laws(n, last), x)
     return value, (-1,) * (n - j) + (1,) * j
 
@@ -225,21 +210,27 @@ def _atom_count(runs: list[tuple[int, int]], atoms: int, spans: list[int]) -> in
     return min(multisets, math.prod([width // g * span + 1 for span in spans]))
 
 
-def _powers(what: str, dist: Dist, n: int, laws: Iterable[list[tuple[int, int]]]) -> list[Dist]:
-    """P_0..P_n, P_m the law of m iid copies of `dist`, by the chain P_(m + 1) = P_m * dist, for a search that
-    forms `laws` from them within its caps: its values (denominators dividing den^n) must print, and its plan, the
-    chain and each law's fold in `_best`, must fit the budget.  A convolution costs 40 steps plus 1 + x y / 2^20 per
-    atom product of x- and y-bit numerators, a law of M summands having `_atom_count` atoms and numerators of
-    M log2(den) bits at most.  Each law is gated once counted, so a refusal costs O(cap)."""
+def _powers(what: str, dist: Dist, n: int, laws: Iterable[list[tuple[int, int]]], x: PointLike | None) -> list[Dist]:
+    """P_0..P_n, P_m the law of m iid copies of `dist`, by the chain P_(m + 1) = P_m * dist, for a search that forms
+    `laws` from them: its values (dividing den^n) must print, and its plan, the chain with its 40 steps per convolution
+    summed at once, then each law's fold in `_best` or its hit at x, must fit the budget.  A law of M summands has
+    `_atom_count` atoms and numerators of M log2(den) bits at most."""
     _require_within(f"exact values of {n} summands", math.floor(n * math.log10(dist.den)) + 1, "digits")
-    offsets = [[x - min(c) for x in c] for c in zip(*dist.support)]    # a coordinate's atoms lie on its offsets' gcd
+    offsets = [[v - min(c) for v in c] for c in zip(*dist.support)]    # a coordinate's atoms lie on its offsets' gcd
     atoms, spans = len(dist.support), [max(c) // (math.gcd(*c) or 1) for c in offsets]
-    bits, steps = (dist.den - 1).bit_length() ** 2, 0
-    for runs in itertools.chain(([(1, m), (1, 1)] for m in range(1, n)), laws):
-        for i in range(1, len(runs)):
-            products = _atom_count(runs[:i], atoms, spans) * _atom_count(runs[i:i + 1], atoms, spans)
-            steps += 40 + products * (1 + sum([m for _, m in runs[:i]]) * runs[i][1] * bits // 2**20)
-        _require_within(what, steps, "steps")
+    bits = (dist.den - 1).bit_length()
+
+    def law(runs: list[tuple[int, int]]) -> int:
+        # at x a sign law (at most two runs) is one hit: its head is the first run of two, or a point mass
+        if x is not None:
+            head, (_, m) = runs[:-1], runs[-1]
+            return _lookups(_atom_count(head, atoms, spans) if head else 1, _atom_count(runs[-1:], atoms, spans),
+                            sum([k for _, k in head]) * bits, m * bits)
+        return sum([_product(_atom_count(runs[:i], atoms, spans), _atom_count(runs[i:i + 1], atoms, spans),
+                             sum([m for _, m in runs[:i]]) * bits, runs[i][1] * bits) for i in range(1, len(runs))])
+
+    chain = (_product(_atom_count([(1, m)], atoms, spans), atoms, m * bits, bits) - 40 for m in range(1, n))
+    _require_plan(what, itertools.chain([40 * (n - 1)], chain, map(law, laws)))
     return [delta((0,) * dist.dim), *itertools.accumulate([dist] * (n - 1), Dist.convolve, initial=dist)]
 
 
@@ -273,7 +264,7 @@ def weight_grid_search(dist: Dist, n: int, grid: Sequence[RationalLike]) -> Grid
     if any(v == 0 for v in values):
         raise ZeroWeight("grid must not contain 0")
     size = math.comb(len(values) + n - 1, n)
-    _require_within(f"{size} sorted weight tuples of {n} summands", 100 * size * n, "steps")
+    _require_plan(f"{size} sorted weight tuples of {n} summands", [100 * size * n])
     orbits: dict[tuple[tuple[int, int], ...], tuple[tuple[Fraction, ...], list[tuple[int, int]]]] = {}
     for tup in itertools.combinations_with_replacement(values, n):
         # runs on the lattice scaled by the tuple's lcm; its orbit's key is its primitive runs or their mirror
@@ -284,7 +275,7 @@ def weight_grid_search(dist: Dist, n: int, grid: Sequence[RationalLike]) -> Grid
         orbits.setdefault(key, (tup, runs))
     tuples, laws = zip(*orbits.values())
     what = f"{len(laws)} weight orbits and {n // 2 + 1} sign laws of {n} summands"
-    powers = _powers(what, dist, n, itertools.chain(laws, _sign_laws(n, n // 2)))
+    powers = _powers(what, dist, n, itertools.chain(laws, _sign_laws(n, n // 2)), None)
     value, i, argmax = _best(powers, laws, None)
     sign_value, j, _ = _best(powers, _sign_laws(n, n // 2), None)
     return GridSearchResult(value, tuples[i], argmax, sign_value, (-1,) * (n - j) + (1,) * j, value > sign_value)

@@ -127,7 +127,7 @@ def peakedness_dominates(mu: Dist, nu: Dist) -> bool:
     """True when P(|Y'| <= k) >= P(|Y| <= k) for all k, Y ~ mu, Y' ~ nu."""
     if mu.dim != 1 or nu.dim != 1:
         raise DimensionMismatch("peakedness comparisons need dimension 1")
-    radius = max(abs(x) for d in (mu, nu) for (x,), _ in d.atoms)
+    radius = max(abs(x) for d in (mu, nu) for (x,) in d.support)
     return all(mu.interval_prob(k) <= nu.interval_prob(k) for k in range(radius + 1))
 
 

@@ -107,7 +107,11 @@ def test_cap_constants_are_pinned_and_checked_by_one_gate():
     modules = [importlib.import_module(f"anticonc.{info.name}") for info in pkgutil.iter_modules(anticonc.__path__)
                if not info.name.startswith("_")]
     assert sorted({name for module in modules for name in vars(module) if name.startswith("MAX_")}) == CAPS
-    assert sum(Path(module.__file__).read_text().count("raise TooLarge") for module in modules) == 1
+    sources = [Path(module.__file__).read_text() for module in modules]
+    assert sum(source.count("raise TooLarge") for source in sources) == 1
+    # and one plan gate prices every step: no second step gate and none of the old per-caller pricings
+    assert sum(source.count('"steps")') for source in sources) == 1
+    assert not any(old in source for source in sources for old in ("_require_support", "_require_scan_work"))
 
 
 @pytest.mark.parametrize("call, validator", [

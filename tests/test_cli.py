@@ -373,7 +373,7 @@ class TestScanCommands:
         code, _, err = run(capsys, "scan", "weights", "--in", path, "--n", "8", "--grid-values=1,2,3,5,7,11")
         assert time.perf_counter() - start < 1
         assert code == 1
-        assert "predict 5001325 steps, above the cap 5000000" in err
+        assert "predict 5001327 steps, above the cap 5000000" in err
 
 
 class TestErrorPaths:
@@ -446,6 +446,12 @@ TOO_LARGE = [
     (None, "asym tnzero --n 5000 --p 1/3"),
     (None, "family tn --n 20000 --p 1/3"),
     (None, "family binom --n 200000 --p 1/3"),
+    # b^n must print: 4,501 digits at n = 15
+    (None, "family binom --n 15 --p 1/1" + "0" * 300),
+    (None, "family binom --n 1024 --p 1/1" + "0" * 300),
+    # one product of two 1,025-atom binomials, its numerators of 2,378 and 2,875 bits
+    (None, "family tn --n 2048 --p 2/5"),
+    (None, "family tn --n 2048 --p 1/7"),
     (None, "scan kphase --n 1001 --grid 512"),
     (None, "scan kphase --n 3 --grid 100000000"),
     (None, "scan kphase --n 3001 --grid 1"),
@@ -541,12 +547,15 @@ def test_guard_names_the_fault(tmp_path, capsys, text, command, message):
 
 SPREAD = json.dumps(uniform_on([0, 1, 100, 10000]).to_json_obj())
 EIGHT = json.dumps(uniform_on([0, 1, 7, 50, 333, 2000, 15000, 99999]).to_json_obj())
+SPREAD24 = json.dumps([uniform_on([0, 3**i]).to_json_obj() for i in range(24)])    # 2^24 atoms, none merged
+POINT = json.dumps(delta(0).to_json_obj())
 
 
 @pytest.mark.parametrize("text, command", TOO_LARGE + [
     (SPREAD, "scan weights --in {in} --n 8 --grid-values=1,2,3,5,7,11"),
     (EIGHT, "scan signs --in {in} --n 24"),
     (TINY, "scan signs --in {in} --n 15"),
+    (SPREAD24, "dist conv --in {in}"),
 ])
 def test_every_size_refusal_has_one_shape(tmp_path, capsys, text, command):
     # one gate raises every cap refusal; the sign search on 8 spread atoms predicts 1.4e10 steps, hours of work
@@ -554,6 +563,14 @@ def test_every_size_refusal_has_one_shape(tmp_path, capsys, text, command):
     err = _run_malformed(tmp_path, capsys, text, command)
     assert time.perf_counter() - start < 1
     assert re.fullmatch(r"error: .+ predict \d+ (atoms|steps|digits), above the cap \d+\n", err)
+
+
+def test_a_search_too_long_for_its_chain_is_refused_at_once(tmp_path, capsys):
+    # the chain's 40 steps per convolution are summed before any law is counted
+    start = time.perf_counter()
+    err = _run_malformed(tmp_path, capsys, POINT, "scan signs --in {in} --n 1000000000")
+    assert time.perf_counter() - start < 0.05
+    assert err == "error: 500000001 sign laws of 1000000000 summands predict 39999999960 steps, above the cap 5000000\n"
 
 
 @pytest.mark.parametrize("sub, checker, instance_keys", [

@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 import hypothesis.strategies as st
@@ -26,7 +28,7 @@ from anticonc import (
     weight_grid_search,
     weighted_sum,
 )
-from anticonc import errors, search
+from anticonc import errors, families, search
 from anticonc.dist import _hit
 from anticonc.search import GridSearchResult
 from anticonc.errors import AssertionFailed, EvenN, OddN, ParamOutOfRange, QTooLarge, TooLarge, ZeroWeight
@@ -177,6 +179,16 @@ class TestKPhaseScan:
             k_phase_scan(3, [])
 
 
+@pytest.mark.parametrize("scan", [optimal_k_scan, lambda n, p: k_phase_scan(n, [p])], ids=["optimal_k", "k_phase"])
+def test_a_long_denominator_is_priced_by_its_limbs(scan):
+    # each of the 33,153 coefficient updates divides by a number of 16 limbs, about 1,000 steps apiece
+    start = time.perf_counter()
+    message = r"^1 values of p at n = 256 \(denominators up to 10{300}\) predict 33086774 steps"
+    with pytest.raises(TooLarge, match=message):
+        scan(256, F(1, 10**300))
+    assert time.perf_counter() - start < 1
+
+
 def brute_sign_max(dist, n, x=None):
     best = None
     for signs in itertools.product((-1, 1), repeat=n):
@@ -196,16 +208,39 @@ def tilted(law, tilt):
     return Dist.from_entries((p, F(w, sum(weights))) for p, w in zip(law.support, weights))
 
 
-def counting_convolutions(patch, steps):
-    # each convolution costs 40 steps plus its atom products, each weighted by the bits of the two numerators
-    convolve = Dist.convolve
+def counting_kernels(patch, steps):
+    # the work each kernel call does, priced by the rule of its kernel from what it actually formed: a convolution
+    # 40 steps plus its atom products, each weighted by the bits of the two numerators; a hit one step per atom of
+    # the last law's table and one lookup and product per atom of its head; a pass of coefficient updates 80 steps
+    # plus its updates of 1 + bits limbs / 4096
+    convolve, ladder, recurrence = Dist.convolve, search._next_split, search._binomial_nums
 
     def counted(a, b):
         bits = max(a.nums).bit_length() * max(b.nums).bit_length()
-        steps.append(40 + len(a.support) * len(b.support) * (1 + bits // 2**20))
+        steps.append(40 + len(a.support) * len(b.support) * (2**20 + bits) // 2**20)
         return convolve(a, b)
 
+    def hit(dists, x):
+        head = reduce(convolve, dists[:-1]) if len(dists) > 1 else delta((0,) * dists[0].dim)
+        bits = max(head.nums).bit_length() * max(dists[-1].nums).bit_length()
+        steps.append(len(dists[-1].support) + len(head.support) * (2**21 + bits) // 2**20)
+        return _hit(dists, x)
+
+    def updates(kernel, fixed):
+        def run(row_or_n, a, c):
+            out = kernel(row_or_n, a, c)
+            limbs = -(-(a + c).bit_length() // 64)
+            steps.append(fixed + len(out) * (4096 + max(out).bit_length() * limbs) // 4096)
+            return out
+        return run
+
     patch.setattr(Dist, "convolve", counted)
+    patch.setattr(search, "_hit", hit)
+    patch.setattr(search, "_binomial_nums", updates(recurrence, 80))
+    patch.setattr(search, "_next_split", updates(ladder, 0))
+
+
+P = st.builds(lambda a, b: F(a, 2 * a + b), st.integers(1, 2**70), st.integers(0, 2**70))
 
 
 class TestSignVectorMax:
@@ -245,26 +280,30 @@ class TestSignVectorMax:
     def test_cap(self):
         # the cap is a prediction of work, not of n: 25 Bernoulli summands are cheap, 24 of 8 spread atoms are not
         assert sign_vector_max(bernoulli(F(1, 2)), 25) == (F(1300075, 8388608), (-1,) * 25)
-        msg = "13 sign laws of 24 summands predict 5884400 steps, above the cap 5000000"
+        msg = "13 sign laws of 24 summands predict 5885393 steps, above the cap 5000000"
         with pytest.raises(TooLarge, match=msg):
             sign_vector_max(uniform_on([0, 1, 7, 50, 333, 2000, 15000, 99999]), 24)
 
     @given(st.integers(1, 2).flatmap(lambda dim: st.tuples(
         st.one_of(dists(dim=dim, coord_bound=2), dists(dim=dim, coord_bound=1000)), st.integers(1, 8),
-        st.none() | st.tuples(*[st.integers(-4, 4)] * dim))), st.integers(0, 2**400))
-    @example((uniform_on([0, 1, 100, 10000]), 8, None), 2**400)
-    @example((uniform_on([(0, 0), (1, 0), (0, 1), (3, 2)]), 6, (1, 1)), 2**400)
-    def test_sign_budget_never_undercounts(self, case, tilt):
-        # a budget one below the steps counted through Dist.convolve always refuses the search
+        st.none() | st.tuples(*[st.integers(-4, 4)] * dim))), st.integers(0, 2**400), P)
+    @example((uniform_on([0, 1, 100, 10000]), 8, None), 2**400, F(1, 3))
+    @example((uniform_on([(0, 0), (1, 0), (0, 1), (3, 2)]), 6, (1, 1)), 2**400, F(1, 2**70 + 1))
+    def test_sign_budget_never_undercounts(self, case, tilt, p):
+        # a budget one below the steps counted through the kernels always refuses the search: the sign laws'
+        # convolutions and hits, and the ladder's coefficient updates at the same n
         law, n, x = case
-        law, steps = tilted(law, tilt), []
-        with pytest.MonkeyPatch.context() as patch:
-            counting_convolutions(patch, steps)
-            patch.setattr(errors, "MAX_WORK", math.inf)
-            sign_vector_max(law, n, x)
-            patch.setattr(errors, "MAX_WORK", sum(steps) - 1)
-            with pytest.raises(TooLarge, match="sign laws"):
-                sign_vector_max(law, n, x)
+        law = tilted(law, tilt)
+        for run, what in ((lambda: sign_vector_max(law, n, x), "sign laws"),
+                          (lambda: optimal_k_scan(n, p), "values of p")):
+            steps = []
+            with pytest.MonkeyPatch.context() as patch:
+                counting_kernels(patch, steps)
+                patch.setattr(errors, "MAX_WORK", math.inf)
+                run()
+                patch.setattr(errors, "MAX_WORK", sum(steps) - 1)
+                with pytest.raises(TooLarge, match=what):
+                    run()
 
 
 class TestWeightGridSearch:
@@ -310,15 +349,21 @@ class TestWeightGridSearch:
     @example((uniform_on([0, 1, 100, 10000]), 6, [F(1), F(2), F(3)]), 2**400)
     @example((uniform_on([(-5, 0), (-2, 4), (1, 2), (4, 0)]), 6, [F(2, 3), F(1), F(-3, 2)]), 0)
     def test_atom_budget_never_undercounts(self, case, tilt):
-        # the steps the plan predicts for the weight orbits and sign laws are never fewer than those counted
-        # through Dist.convolve; the walk cap before it counts no convolution
+        # the steps the plans predict are never fewer than those counted through the kernels: the weight orbits
+        # and sign laws (the walk cap before them counts no convolution), and the two binomials of a signed
+        # difference at the same n with their product
         law, n, grid = case
-        law, steps, predicted = tilted(law, tilt), [], []
-        with pytest.MonkeyPatch.context() as patch:
-            counting_convolutions(patch, steps)
-            patch.setattr(search, "_require_within", lambda what, count, unit: predicted.append((what, count)))
-            weight_grid_search(law, n, grid)
-        assert [count for what, count in predicted if "weight orbits" in what][-1] >= sum(steps)
+        law, p = tilted(law, tilt), F(1 + tilt % 5, 2 + 2 * (tilt % 5) + tilt % 7)
+        for run, what in ((lambda: weight_grid_search(law, n, grid), "weight orbits"),
+                          (lambda: signed_binomial_diff(n, n // 2, p), "")):
+            steps, predicted = [], []
+            with pytest.MonkeyPatch.context() as patch:
+                counting_kernels(patch, steps)
+                patch.setattr(families, "_binomial_nums", search._binomial_nums)
+                patch.setattr(errors, "_require_within", lambda *call: predicted.append(call))
+                run()
+            plans = [count for name, count, unit in predicted if unit == "steps" and what in name]
+            assert (plans[-1] if what else sum(plans)) >= sum(steps)
 
 
 def reference_sign_vector_max(dist, n, x=None):
