@@ -12,8 +12,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dist import RationalLike, _alternating_zero, _hit, as_fraction
-from .errors import ParamOutOfRange, _require_at_least, _require_p, _require_positive_coeffs, _require_within
+from .dist import RationalLike, _alternating_zero, _hit, as_fraction, convolve_all
+from .errors import (ParamOutOfRange, _require_at_least, _require_p, _require_positive_coeffs, _require_summands,
+                     _require_within)
 from .families import _alternating_halves, alternating_bernoulli, quasi_uniform, quasi_uniform_variance
 
 __all__ = [
@@ -46,7 +47,7 @@ def local_limit_exact(n: int, alpha: RationalLike) -> Fraction:
     a power of the alternating pair, and one more +1 summand when n is odd."""
     _require_at_least("n", n, 1)
     u = quasi_uniform(alpha)
-    _require_within(f"{n} summands of {len(u.support)} atoms", n * len(u.support), "atoms")
+    _require_summands(n, len(u.support), u.den)
     return _alternating_zero(u, n)
 
 
@@ -169,13 +170,13 @@ def odd_tail_ratios(m: int, p: RationalLike) -> OddTailRatios:
     _require_at_least("m", m, 2)
     q = _require_p(as_fraction(p))
     n_eff = 2 * (m - 1)
-    _require_within(f"{n_eff + 3} summands of 2 atoms", 2 * (n_eff + 3), "atoms")  # x and the alternating triple
+    _require_summands(n_eff + 3, 2, q.denominator)  # x and the alternating triple
     plus, minus = _alternating_halves(n_eff, q)    # X = plus + minus; Y2 and Y3 join the minus side
     x_zero = _hit([plus, minus], 0)
     pair_doubled = alternating_bernoulli(2, q).scale(2)
     triple = alternating_bernoulli(3, q)
-    exact_pair = _hit([plus, minus.convolve(pair_doubled)], 0) / x_zero
-    exact_triple = _hit([plus, minus.convolve(triple)], 0) / x_zero
+    exact_pair = _hit([plus, convolve_all([minus, pair_doubled])], 0) / x_zero
+    exact_triple = _hit([plus, convolve_all([minus, triple])], 0) / x_zero
     approx_pair = 1.0 - 4.0 / n_eff
     approx_triple = 1.0 - float((3 - 2 * q) / (2 * n_eff * (1 - q)))
     return OddTailRatios(exact_pair, exact_triple, approx_pair, approx_triple, n_eff)

@@ -10,18 +10,19 @@ hashing and serialization are canonical.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
 import re
-from collections import Counter
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .errors import (DimensionMismatch, MassNotOne, NegativeMass, ZeroWeight, _product, _require_at_least,
-                     _require_common_dim, _require_plan, _require_within)
+from .errors import (MAX_ATOMS, MAX_WORK, DimensionMismatch, MassNotOne, NegativeMass, ZeroWeight, _product,
+                     _require_at_least, _require_common_dim, _require_plan, _require_within)
 
 __all__ = [
     "Dist",
@@ -144,6 +145,11 @@ class Dist:
     @cached_property
     def _mass(self) -> dict[Point, int]:
         return dict(zip(self.support, self.nums))
+
+    @cached_property
+    def _lattice(self) -> tuple[tuple[int, int], ...]:
+        """Per coordinate, the span of the atoms and the gcd of their offsets, the step of the lattice they lie on."""
+        return tuple([(max(c) - min(c), math.gcd(*[v - c[0] for v in c])) for c in zip(*self.support)])
 
     def atom(self, x: PointLike) -> Fraction:
         """Mass at the point x (0 if x is not an atom)."""
@@ -302,22 +308,43 @@ def uniform_on(points: Iterable[PointLike]) -> Dist:
 
 def convolve_all(dists: Sequence[Dist]) -> Dist:
     """Law of the sum of independent draws, one per distribution, within the atom and step caps."""
-    if not dists:
-        raise ValueError("need at least one distribution")
+    return deque(_prefix_sums(dists), maxlen=1)[0]
+
+
+def _prefix_sums(dists: Sequence[Dist]) -> Iterator[Dist]:
+    """The laws of X_1, X_1 + X_2, ... for independent X_i ~ dists[i], the fold priced before its first product."""
+    _require_common_dim(dists, "distribution")
     if len(dists) > 1:
         _require_plan(f"the sum of {len(dists)} laws", _fold(f"the sum of {len(dists)} laws", dists))
-    return reduce(Dist.convolve, dists)
+    return itertools.accumulate(dists, Dist.convolve)
+
+
+def _sum_atoms(groups: Iterable[tuple[Dist, int, int]]) -> Iterator[int]:
+    """Predicted atoms of the sum of the first 1, 2, ... groups (law X, weight w, count m), m iid copies of w X: the
+    fewer of the multisets, the product of C(m + |X| - 1, m) over each law object X and w, and the points of the box,
+    each coordinate stepping by the gcd over the groups of |w| times the gcd of X's offsets there; in one pass."""
+    counts, multisets, box = {}, 1, {}
+    for law, w, m in groups:
+        k, s = counts.get((id(law), w), 0), len(law.support)
+        counts[id(law), w] = k + m
+        multisets = multisets // math.comb(k + s - 1, k) * math.comb(k + m + s - 1, k + m)
+        for c, (span, step) in enumerate(law._lattice):
+            width, g = box.get(c, (0, 0))
+            box[c] = (width + m * abs(w) * span, math.gcd(g, w * step))
+        yield min(multisets, math.prod([width // (g or 1) + 1 for width, g in box.values()]))
 
 
 def _fold(what: str, dists: Sequence[Dist]) -> Iterable[int]:
-    """Steps of each product of the left fold of `dists`.  The sum of the first i laws, refused above MAX_ATOMS, has at
-    most the multisets of their atoms or the points of their summed box, and at most their dens' summed bits."""
-    copies, box, atoms, bits = Counter(), [0] * dists[0].dim, 1, 0
-    for i, d in enumerate(dists):
-        copies[d] += 1
-        box = [w + max(c) - min(c) for w, c in zip(box, zip(*d.support))]
-        multisets = math.prod([math.comb(m + len(e.support) - 1, m) for e, m in copies.items()])
-        summed = min(multisets, math.prod([w + 1 for w in box]))
+    """Steps of each product of the left fold of `dists`: the sum of the first i laws, refused above MAX_ATOMS, has
+    the i-th count of `_sum_atoms` of its laws, equal laws as one, and numerators of at most their dens' summed bits.
+    No count exceeds the product P of all the atom counts, so when P and n - 1 products of P atoms of all the bits
+    fit the caps, that one price stands for the fold and nothing is counted."""
+    bound, total = math.prod([len(d.support) for d in dists]), sum([(d.den - 1).bit_length() for d in dists])
+    if bound <= MAX_ATOMS and (crude := (len(dists) - 1) * _product(bound, 1, total, total)) <= MAX_WORK:
+        yield crude
+        return
+    atoms, bits, equal = 1, 0, {}
+    for i, (d, summed) in enumerate(zip(dists, _sum_atoms([(equal.setdefault(d, d), 1, 1) for d in dists]))):
         if i:
             _require_within(what, summed, "atoms")
             yield _product(atoms, len(d.support), bits, (d.den - 1).bit_length())

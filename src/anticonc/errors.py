@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 
 
@@ -129,6 +130,12 @@ def _require_within(what, count, unit):
     cap = MAX_ATOMS if unit == "atoms" else MAX_WORK if unit == "steps" else sys.get_int_max_str_digits()
     if cap and count > cap:
         raise TooLarge(f"{what} predict {count} {unit}, above the cap {cap}")
+
+
+def _require_summands(n, atoms, den):
+    """n summands of `atoms` atoms each, counted as n * atoms; den^n, which their exact values divide, must print."""
+    _require_within(f"{n} summands of {atoms} atoms", n * atoms, "atoms")
+    _require_within(f"exact values of {n} summands", math.floor(n * math.log10(den)) + 1, "digits")
 
 
 def _product(a, b, x, y):

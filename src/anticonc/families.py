@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .dist import Dist, PointLike, RationalLike, _canonical, as_fraction, as_point, convolve_all
 from .errors import (ParamOutOfRange, RestPointInSupport, WrongSupportSize, _require_alpha, _require_at_least,
-                     _require_p, _require_plan, _require_within, _updates)
+                     _require_p, _require_plan, _require_summands, _require_within, _updates)
 
 __all__ = [
     "alternating_bernoulli",
@@ -38,6 +38,7 @@ def quasi_uniform(alpha: RationalLike) -> Dist:
     """
     a = _require_alpha(as_fraction(alpha))
     k = math.floor(1 / a)
+    _require_within(f"the flat law at level {a}", math.ceil(1 / a), "atoms")
     return extreme_point_measure(a, range(k), k)
 
 
@@ -91,9 +92,8 @@ def binomial(n: int, p: RationalLike) -> Dist:
     _require_at_least("n", n, 0)
     if not 0 < q <= 1:
         raise ParamOutOfRange(f"success mass must lie in (0, 1], got {q}")
-    _require_within(f"{n} summands of 2 atoms", 2 * n, "atoms")
     a, b = q.numerator, q.denominator
-    _require_within(f"exact values of {n} summands", math.floor(n * math.log10(b)) + 1, "digits")
+    _require_summands(n, 2, b)
     _require_plan(f"a binomial law of {n} summands", [_updates(n + 1, n * (b - 1).bit_length(), b)])
     return _canonical(1, {(k,): m for k, m in enumerate(_binomial_nums(n, a, b - a))}, b**n)
 
@@ -120,8 +120,8 @@ def _alternating_halves(n: int, p: RationalLike) -> list[Dist]:
     the two sides of alternating_bernoulli(n, p), so that one atom of their sum
     can be read with `dist._hit` without forming it."""
     _require_at_least("n", n, 1)
-    _require_within(f"{n} summands of 2 atoms", 2 * n, "atoms")
     q = _require_p(as_fraction(p))
+    _require_summands(n, 2, q.denominator)
     return [binomial(n - n // 2, q), binomial(n // 2, q).negate()]
 
 

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .dist import Dist, as_fraction
-from .errors import _require_alpha
+from .errors import _require_alpha, _require_within
 from .transforms import CenteredSeq
 
 
@@ -41,6 +41,7 @@ def random_capped_dist(rng: random.Random, alpha) -> Dist:
     """
     a = _require_alpha(as_fraction(alpha))
     k = math.floor(1 / a)
+    _require_within(f"the flat law at level {a}", math.ceil(1 / a), "atoms")
     span = max(6, (k + 1) // 2)
     entries = []
     for weight in random_masses(rng, rng.randint(1, 3)):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Sequence
 
-from .dist import Dist, Point, PointLike, RationalLike, _hit, as_fraction, as_point, delta
+from .dist import Dist, Point, PointLike, RationalLike, _hit, _prefix_sums, _sum_atoms, as_fraction, as_point, delta
 from .asymptotics import local_limit_exact
 from .errors import (AssertionFailed, EvenN, ParamOutOfRange, QTooLarge, ZeroWeight, _lookups, _product,
                      _require_alpha, _require_at_least, _require_common_dim, _require_even, _require_p, _require_plan,
@@ -201,35 +201,25 @@ def _best(powers: list[Dist], laws: Iterable[list[tuple[int, int]]], x: PointLik
     return best
 
 
-def _atom_count(runs: list[tuple[int, int]], atoms: int, spans: list[int]) -> int:
-    """Predicted atoms of runs (w, m) of iid summands of `atoms` atoms spanning `spans` lattice steps: the fewer of
-    the multisets, prod C(m + atoms - 1, atoms - 1), and the box points, prod (sum m |w| span / g + 1), g = gcd(w)."""
-    multisets, width, g = 1, 0, 0
-    for w, m in runs:
-        multisets, width, g = multisets * math.comb(m + atoms - 1, atoms - 1), width + m * abs(w), math.gcd(g, w)
-    return min(multisets, math.prod([width // g * span + 1 for span in spans]))
-
-
 def _powers(what: str, dist: Dist, n: int, laws: Iterable[list[tuple[int, int]]], x: PointLike | None) -> list[Dist]:
     """P_0..P_n, P_m the law of m iid copies of `dist`, by the chain P_(m + 1) = P_m * dist, for a search that forms
     `laws` from them: its values (dividing den^n) must print, and its plan, the chain with its 40 steps per convolution
-    summed at once, then each law's fold in `_best` or its hit at x, must fit the budget.  A law of M summands has
-    `_atom_count` atoms and numerators of M log2(den) bits at most."""
+    summed at once, then each law's fold in `_best` or its hit at x, must fit the budget.  A law of runs (w, m) has the
+    `_sum_atoms` of its groups (dist, w, m), and M summands have numerators of M log2(den) bits at most."""
     _require_within(f"exact values of {n} summands", math.floor(n * math.log10(dist.den)) + 1, "digits")
-    offsets = [[v - min(c) for v in c] for c in zip(*dist.support)]    # a coordinate's atoms lie on its offsets' gcd
-    atoms, spans = len(dist.support), [max(c) // (math.gcd(*c) or 1) for c in offsets]
-    bits = (dist.den - 1).bit_length()
+    _require_plan(what, [40 * (n - 1)])    # the chain's fixed steps alone, before the powers' atoms are counted
+    bits, atoms = (dist.den - 1).bit_length(), [1, *itertools.islice(_sum_atoms(itertools.repeat((dist, 1, 1))), n)]
 
     def law(runs: list[tuple[int, int]]) -> int:
-        # at x a sign law (at most two runs) is one hit: its head is the first run of two, or a point mass
+        # at x a sign law (at most two runs) is one hit: its head is the first run of two, or a point mass; heads[i]
+        # counts the atoms of runs[:i], and each product adds a run, P_m scaled, of atoms[m] atoms
+        heads = [1, *itertools.islice(_sum_atoms([(dist, w, m) for w, m in runs]), len(runs) - 1)]
+        sizes = [m * bits for _, m in runs]
         if x is not None:
-            head, (_, m) = runs[:-1], runs[-1]
-            return _lookups(_atom_count(head, atoms, spans) if head else 1, _atom_count(runs[-1:], atoms, spans),
-                            sum([k for _, k in head]) * bits, m * bits)
-        return sum([_product(_atom_count(runs[:i], atoms, spans), _atom_count(runs[i:i + 1], atoms, spans),
-                             sum([m for _, m in runs[:i]]) * bits, runs[i][1] * bits) for i in range(1, len(runs))])
+            return _lookups(heads[-1], atoms[runs[-1][1]], sum(sizes[:-1]), sizes[-1])
+        return sum([_product(heads[i], atoms[runs[i][1]], sum(sizes[:i]), sizes[i]) for i in range(1, len(runs))])
 
-    chain = (_product(_atom_count([(1, m)], atoms, spans), atoms, m * bits, bits) - 40 for m in range(1, n))
+    chain = (_product(atoms[m], len(dist.support), m * bits, bits) - 40 for m in range(1, n))
     _require_plan(what, itertools.chain([40 * (n - 1)], chain, map(law, laws)))
     return [delta((0,) * dist.dim), *itertools.accumulate([dist] * (n - 1), Dist.convolve, initial=dist)]
 
@@ -309,12 +299,7 @@ def monotonicity_check(dists: Sequence[Dist]) -> tuple[Fraction, ...]:
     Returns the sequence of concentration maxima for X_1, X_1 + X_2, ...;
     a violation raises AssertionFailed with the offending prefix.
     """
-    _require_common_dim(dists, "distribution")
-    acc = dists[0]
-    maxima = [acc.concentration()[0]]
-    for i, mu in enumerate(dists[1:], start=2):
-        acc = acc.convolve(mu)
-        q = acc.concentration()[0]
-        require_bound("concentration maximum increased along a prefix", q, maxima[-1], dists=list(dists), prefix=i)
-        maxima.append(q)
-    return tuple(maxima)
+    maxima = tuple([law.concentration()[0] for law in _prefix_sums(dists)])
+    for i, (before, after) in enumerate(zip(maxima, maxima[1:]), start=2):
+        require_bound("concentration maximum increased along a prefix", after, before, dists=list(dists), prefix=i)
+    return maxima

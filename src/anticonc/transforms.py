@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .dist import Dist, RationalLike, _canonical, _hit, as_fraction
+from .dist import Dist, RationalLike, _canonical, _hit, as_fraction, convolve_all
 from .errors import DimensionMismatch, NotSymmetrizable, PreconditionViolated, require_bound
 
 __all__ = [
@@ -148,6 +148,6 @@ def birnbaum_sides(mu_x: Dist, mu_y: Dist, mu_yp: Dist, k: int) -> tuple[Fractio
             raise PreconditionViolated(f"{name} is not unimodal")
     if not peakedness_dominates(mu_y, mu_yp):
         raise PreconditionViolated("Y' is not at least as peaked as Y")
-    lhs, rhs = mu_x.convolve(mu_y).interval_prob(k), mu_x.convolve(mu_yp).interval_prob(k)
+    lhs, rhs = convolve_all([mu_x, mu_y]).interval_prob(k), convolve_all([mu_x, mu_yp]).interval_prob(k)
     require_bound("peakedness failed to transfer through the convolution", lhs, rhs, k=k, X=mu_x, Y=mu_y, Yp=mu_yp)
     return lhs, rhs

@@ -114,6 +114,15 @@ def test_cap_constants_are_pinned_and_checked_by_one_gate():
     assert not any(old in source for source in sources for old in ("_require_support", "_require_scan_work"))
 
 
+def test_only_dist_sums_given_laws():
+    # every sum of given laws is the gated fold of `dist`, which holds the one atom predictor of a sum; outside it the
+    # kernel is read only by the search's priced chain and folds
+    sources = {path.stem: path.read_text() for path in Path(anticonc.__file__).parent.glob("*.py")}
+    assert [name for name, source in sources.items() if ".convolve(" in source] == ["dist"]
+    assert sorted(name for name, source in sources.items() if "Dist.convolve" in source) == ["dist", "search"]
+    assert "def _sum_atoms" in sources["dist"] and "_atom_count" not in sources["search"]
+
+
 @pytest.mark.parametrize("call, validator", [
     (lambda: binomial(-1, F(1, 3)), lambda: _require_at_least("n", -1, 0)),
     (lambda: alternating_bernoulli(0, F(1, 3)), lambda: _require_at_least("n", 0, 1)),

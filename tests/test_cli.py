@@ -455,6 +455,11 @@ TOO_LARGE = [
     (None, "scan kphase --n 1001 --grid 512"),
     (None, "scan kphase --n 3 --grid 100000000"),
     (None, "scan kphase --n 3001 --grid 1"),
+    # a flat law of 10^7 or 10^5 atoms, refused before its points are built
+    (None, "family ualpha --alpha 1/10000000"),
+    (None, "family ualpha --alpha 1/100000"),
+    (None, "asym corollary2 --n 2 --alpha 1/10000000"),
+    (None, "check theorem2 --trials 1 --alpha 1/10000000"),
 ]
 
 MALFORMED = [
@@ -549,6 +554,8 @@ SPREAD = json.dumps(uniform_on([0, 1, 100, 10000]).to_json_obj())
 EIGHT = json.dumps(uniform_on([0, 1, 7, 50, 333, 2000, 15000, 99999]).to_json_obj())
 SPREAD24 = json.dumps([uniform_on([0, 3**i]).to_json_obj() for i in range(24)])    # 2^24 atoms, none merged
 POINT = json.dumps(delta(0).to_json_obj())
+WIDE3 = json.dumps([uniform_on(range(3000)).to_json_obj()] * 3)    # 5,999 atoms in the sum of the first two
+WIDE_PEAKED = json.dumps([uniform_on(range(-r, r + 1)).to_json_obj() for r in (1500, 1500, 1000)])
 
 
 @pytest.mark.parametrize("text, command", TOO_LARGE + [
@@ -563,6 +570,39 @@ def test_every_size_refusal_has_one_shape(tmp_path, capsys, text, command):
     err = _run_malformed(tmp_path, capsys, text, command)
     assert time.perf_counter() - start < 1
     assert re.fullmatch(r"error: .+ predict \d+ (atoms|steps|digits), above the cap \d+\n", err)
+
+
+@pytest.mark.parametrize("text, command", [
+    (SPREAD24, "check monotone --in {in}"),
+    (WIDE3, "check monotone --in {in}"),
+    (WIDE_PEAKED, "check birnbaum --in {in} --k 3"),
+], ids=["monotone-spread", "monotone-wide", "birnbaum-wide"])
+def test_a_check_of_given_laws_is_refused_by_the_sums_it_forms(tmp_path, capsys, text, command):
+    # the prefix sums of `check monotone` and the two sums of `check birnbaum` pass the gate of every sum of given laws
+    test_every_size_refusal_has_one_shape(tmp_path, capsys, text, command)
+
+
+def _digit_cap_runs():
+    # den^n, which every exact value of n summands divides, prints up to n = 4299 // e at den = 10^e; one run on each
+    # side of that n for every command that reads an alternating sum of n summands
+    for e in (100, 300):
+        p, alpha, last = "1/1" + "0" * e, f"{10**e - 1}/{10**e}", 4299 // e
+        runs = [(n, f"family tn --n {n} --p P") for n in (last, last + 1)]
+        runs += [(n, f"asym tnzero --n {n} --p P") for n in (last, last + 1)]
+        runs += [(n, f"asym corollary2 --n {n} --alpha A") for n in (last, last + 1)]
+        runs += [(2 * h, f"asym smalldev --n {h} --k 1 --p P") for h in (last // 2, last // 2 + 1)]
+        runs += [(2 * m + 1, f"asym largeodd --m {m} --p P") for m in ((last - 1) // 2, (last + 1) // 2)]
+        for n, command in runs:
+            yield pytest.param(n <= last, command.replace("P", p).replace("A", alpha),
+                               id=command.replace("P", f"1/10^{e}").replace("A", f"1-1/10^{e}"))
+
+
+@pytest.mark.parametrize("admitted, command", _digit_cap_runs())
+def test_exact_values_are_refused_by_their_digits_before_they_print(capsys, admitted, command):
+    code, _, err = run(capsys, *command.split())
+    assert code == (0 if admitted else 1)
+    assert not admitted or err == ""
+    assert admitted or re.fullmatch(r"error: exact values of \d+ summands predict \d+ digits, above the cap 4300\n", err)
 
 
 def test_a_search_too_long_for_its_chain_is_refused_at_once(tmp_path, capsys):

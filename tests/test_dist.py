@@ -16,8 +16,8 @@ from anticonc import (
     uniform_on,
     weighted_sum,
 )
-from anticonc.dist import _alternating_zero, as_fraction, as_point
-from anticonc.errors import DimensionMismatch, MassNotOne, NegativeMass, ZeroWeight
+from anticonc.dist import _alternating_zero, _sum_atoms, as_fraction, as_point
+from anticonc.errors import DimensionMismatch, MassNotOne, NegativeMass, TooLarge, ZeroWeight
 
 from conftest import brute_weighted_law, dists, fraction_convolve
 
@@ -224,6 +224,30 @@ def test_all_ones_weighted_sum_is_iterated_convolution(d, n):
 @given(dists(coord_bound=1), st.integers(0, 8))
 def test_self_convolve_is_the_iterated_product(d, n):
     assert self_convolve(d, n) == reduce(Dist.convolve, [d] * n, delta((0,) * d.dim))
+
+
+GROUPS = st.integers(1, 3).flatmap(lambda dim: st.lists(dists(dim=dim), min_size=1, max_size=2)).flatmap(
+    lambda laws: st.lists(st.tuples(st.sampled_from(laws), st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 4)),
+                          min_size=1, max_size=4))
+
+
+@given(GROUPS)
+def test_sum_atoms_never_undercounts_a_sum(groups):
+    # after each group (law X, weight w, count m), the sum of m iid copies of w X over the groups so far, formed
+    # without the gate; a law and weight met again join the multisets of their first group
+    total = delta((0,) * groups[0][0].dim)
+    for (x, w, m), predicted in zip(groups, _sum_atoms(groups), strict=True):
+        total = reduce(Dist.convolve, [x.scale(w)] * m, total)
+        assert predicted >= len(total.support)
+
+
+def test_sum_atoms_counts_the_multisets_of_a_law_met_again():
+    # copies of one law at one weight, in one group or several, are multisets of its atoms; a sum of given laws takes
+    # equal laws as one, so 28 copies of 4 spread atoms predict C(31, 3) atoms, not 4^7 at the 7th
+    spread = uniform_on([0, 1, 100, 10000])
+    assert list(_sum_atoms([(spread, 1, 2), (spread, 1, 1), (spread, -1, 1)])) == [10, 20, 80]
+    with pytest.raises(TooLarge, match="^the sum of 28 laws predict 4495 atoms, above the cap 4096$"):
+        convolve_all([Dist.from_json(spread.to_json()) for _ in range(28)])
 
 
 def law_pairs(dim):

@@ -29,7 +29,7 @@ from anticonc import (
     weighted_sum,
 )
 from anticonc import errors, families, search
-from anticonc.dist import _hit
+from anticonc.dist import _hit, _sum_atoms
 from anticonc.search import GridSearchResult
 from anticonc.errors import AssertionFailed, EvenN, OddN, ParamOutOfRange, QTooLarge, TooLarge, ZeroWeight
 from anticonc.sampling import random_capped_dist, random_dist
@@ -377,6 +377,27 @@ def reference_sign_vector_max(dist, n, x=None):
             best = (value, j)
     value, j = best
     return value, (-1,) * (n - j) + (1,) * j
+
+
+def reference_atom_count(runs, atoms, spans):
+    # the search's own predictor before `dist._sum_atoms`: runs (w, m) of iid summands of `atoms` atoms spanning
+    # `spans` steps of their lattice, the fewer of the multisets and the box points on the sublattice of gcd(w)
+    multisets, width, g = 1, 0, 0
+    for w, m in runs:
+        multisets, width, g = multisets * math.comb(m + atoms - 1, atoms - 1), width + m * abs(w), math.gcd(g, w)
+    return min(multisets, math.prod([width // g * span + 1 for span in spans]))
+
+
+@given(st.integers(1, 3).flatmap(lambda dim: dists(dim=dim, coord_bound=6)),
+       st.lists(st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 40)), min_size=1, max_size=4,
+                unique_by=lambda run: run[0]))
+@example(uniform_on([0, 2, 6]), [(2, 5), (-3, 7)])
+def test_sum_atoms_is_the_search_predictor_on_one_law(law, runs):
+    # on the runs of a search law, of distinct weights, the predictor of every sum gives the search's own counts
+    offsets = [[v - min(c) for v in c] for c in zip(*law.support)]
+    spans = [max(c) // (math.gcd(*c) or 1) for c in offsets]
+    predicted = list(_sum_atoms([(law, w, m) for w, m in runs]))
+    assert predicted == [reference_atom_count(runs[:i], len(law.support), spans) for i in range(1, len(runs) + 1)]
 
 
 def reference_weight_orbit_key(weights):
