@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import (MAX_ATOMS, MAX_WORK, DimensionMismatch, MassNotOne, NegativeMass, ZeroWeight, _product,
-                     _require_at_least, _require_common_dim, _require_plan, _require_within)
+                     _require_at_least, _require_common_dim, _require_digits, _require_plan, _require_within)
 
 __all__ = [
     "Dist",
@@ -176,21 +176,14 @@ class Dist:
         return self == self.negate()
 
     def is_unimodal(self) -> bool:
-        """True when the pmf on the integer range of the support rises then falls.
-
-        Interior lattice points with zero mass count as zeros, so a gap
-        between two massive points breaks unimodality.
-        """
+        """True when the pmf on the integer range of the support rises then falls: a zero inside the support breaks
+        that, so the support has no gap, and the numerators rise to their first maximum, then fall."""
         if self.dim != 1:
             raise DimensionMismatch("unimodality is defined here for dimension 1")
-        lo, hi = self.support[0][0], self.support[-1][0]
-        pmf = [self._mass.get((x,), 0) for x in range(lo, hi + 1)]
-        i = 0
-        while i + 1 < len(pmf) and pmf[i] <= pmf[i + 1]:
-            i += 1
-        while i + 1 < len(pmf) and pmf[i] >= pmf[i + 1]:
-            i += 1
-        return i == len(pmf) - 1
+        top = self.nums.index(max(self.nums))
+        rise, fall = list(self.nums[:top + 1]), list(self.nums[top:])
+        return (self.support[-1][0] - self.support[0][0] == len(self.nums) - 1
+                and rise == sorted(rise) and fall == sorted(fall, reverse=True))
 
     def mean(self) -> Fraction:
         if self.dim != 1:
@@ -315,6 +308,7 @@ def _prefix_sums(dists: Sequence[Dist]) -> Iterator[Dist]:
     """The laws of X_1, X_1 + X_2, ... for independent X_i ~ dists[i], the fold priced before its first product."""
     _require_common_dim(dists, "distribution")
     if len(dists) > 1:
+        _require_digits(len(dists), sum([math.log10(d.den) for d in dists]))
         _require_plan(f"the sum of {len(dists)} laws", _fold(f"the sum of {len(dists)} laws", dists))
     return itertools.accumulate(dists, Dist.convolve)
 
@@ -352,9 +346,18 @@ def _fold(what: str, dists: Sequence[Dist]) -> Iterable[int]:
 
 
 def self_convolve(dist: Dist, n: int) -> Dist:
-    """n-fold convolution power by square and multiply; n = 0 gives the point
-    mass at the origin.  Exact, canonical laws make the product order moot."""
+    """n-fold convolution power by square and multiply; n = 0 gives the point mass at the origin.  Exact, canonical
+    laws make the product order moot.  Priced first: m copies have the `_sum_atoms` count of m copies, at most that of
+    n, and m times dist's bits; when 2 log2 n products of two n-copy laws fit, that bound is the price."""
     _require_at_least("n", n, 0)
+    what, bits, top = f"{n} copies of a law", (dist.den - 1).bit_length(), next(_sum_atoms([(dist, 1, n)]))
+    _require_within(what, top, "atoms")
+    if 2 * n.bit_length() * _product(top, top, n * bits, n * bits) > MAX_WORK:
+        # (a, b): a copies times b copies; the squares, then each set bit of n above the lowest times the bits below
+        plan = [(1 << j, 1 << j) for j in range(n.bit_length() - 1)]
+        plan += [(n & (1 << i) - 1, 1 << i) for i in range(n.bit_length()) if n >> i & 1 and n & (1 << i) - 1]
+        atoms = {c: next(_sum_atoms([(dist, 1, c)])) for pair in plan for c in pair}
+        _require_plan(what, [_product(atoms[a], atoms[b], a * bits, b * bits) for a, b in plan])
     out = delta((0,) * dist.dim) if n == 0 else None
     while n:
         if n & 1:
@@ -386,7 +389,7 @@ def _alternating_zero(mu: Dist, n: int) -> Fraction:
     when n is odd, so no pair law and no full power is formed; at even n this is
     the sum of the squared atoms of S_h."""
     half = self_convolve(mu, n // 2)
-    return _hit([half.convolve(mu) if n % 2 else half, half.negate()], (0,) * mu.dim)
+    return _hit([half, mu, half.negate()] if n % 2 else [half, half.negate()], (0,) * mu.dim)
 
 
 class ScaledDist(NamedTuple):

@@ -132,10 +132,22 @@ def _require_within(what, count, unit):
         raise TooLarge(f"{what} predict {count} {unit}, above the cap {cap}")
 
 
+def _require_flat(a):
+    """A level in (0, 1) whose flat law, of ceil(1/a) atoms, fits MAX_ATOMS."""
+    _require_alpha(a)
+    _require_within(f"the flat law at level {a}", math.ceil(1 / a), "atoms")
+    return a
+
+
+def _require_digits(n, log10):
+    """The product of n summands' denominators, 10^log10, which their exact values divide, must print."""
+    _require_within(f"exact values of {n} summands", math.floor(log10) + 1, "digits")
+
+
 def _require_summands(n, atoms, den):
-    """n summands of `atoms` atoms each, counted as n * atoms; den^n, which their exact values divide, must print."""
+    """n summands of `atoms` atoms each, counted as n * atoms, and of denominator den."""
     _require_within(f"{n} summands of {atoms} atoms", n * atoms, "atoms")
-    _require_within(f"exact values of {n} summands", math.floor(n * math.log10(den)) + 1, "digits")
+    _require_digits(n, n * math.log10(den))
 
 
 def _product(a, b, x, y):

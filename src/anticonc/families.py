@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .dist import Dist, PointLike, RationalLike, _canonical, as_fraction, as_point, convolve_all
 from .errors import (ParamOutOfRange, RestPointInSupport, WrongSupportSize, _require_alpha, _require_at_least,
-                     _require_p, _require_plan, _require_summands, _require_within, _updates)
+                     _require_flat, _require_p, _require_plan, _require_summands, _updates)
 
 __all__ = [
     "alternating_bernoulli",
@@ -36,9 +36,8 @@ def quasi_uniform(alpha: RationalLike) -> Dist:
     Mass alpha on each of 0, 1, ..., floor(1/alpha) - 1 and the remainder,
     if positive, on floor(1/alpha).
     """
-    a = _require_alpha(as_fraction(alpha))
+    a = _require_flat(as_fraction(alpha))
     k = math.floor(1 / a)
-    _require_within(f"the flat law at level {a}", math.ceil(1 / a), "atoms")
     return extreme_point_measure(a, range(k), k)
 
 

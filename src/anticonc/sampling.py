@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .dist import Dist, as_fraction
-from .errors import _require_alpha, _require_within
+from .errors import _require_flat
 from .transforms import CenteredSeq
 
 
@@ -39,9 +39,8 @@ def random_capped_dist(rng: random.Random, alpha) -> Dist:
     measure at level alpha plus remainder), so the cap holds by convexity.
     Its 1 to 3 parts draw points from -6..6, widened to hold floor(1/alpha) + 1.
     """
-    a = _require_alpha(as_fraction(alpha))
+    a = _require_flat(as_fraction(alpha))
     k = math.floor(1 / a)
-    _require_within(f"the flat law at level {a}", math.ceil(1 / a), "atoms")
     span = max(6, (k + 1) // 2)
     entries = []
     for weight in random_masses(rng, rng.randint(1, 3)):

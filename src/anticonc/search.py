@@ -18,8 +18,8 @@ from typing import Iterable, Sequence
 from .dist import Dist, Point, PointLike, RationalLike, _hit, _prefix_sums, _sum_atoms, as_fraction, as_point, delta
 from .asymptotics import local_limit_exact
 from .errors import (AssertionFailed, EvenN, ParamOutOfRange, QTooLarge, ZeroWeight, _lookups, _product,
-                     _require_alpha, _require_at_least, _require_common_dim, _require_even, _require_p, _require_plan,
-                     _require_within, _updates, require_bound)
+                     _require_alpha, _require_at_least, _require_common_dim, _require_digits, _require_even, _require_p,
+                     _require_plan, _require_within, _updates, require_bound)
 from .families import _binomial_nums
 
 __all__ = [
@@ -206,7 +206,7 @@ def _powers(what: str, dist: Dist, n: int, laws: Iterable[list[tuple[int, int]]]
     `laws` from them: its values (dividing den^n) must print, and its plan, the chain with its 40 steps per convolution
     summed at once, then each law's fold in `_best` or its hit at x, must fit the budget.  A law of runs (w, m) has the
     `_sum_atoms` of its groups (dist, w, m), and M summands have numerators of M log2(den) bits at most."""
-    _require_within(f"exact values of {n} summands", math.floor(n * math.log10(dist.den)) + 1, "digits")
+    _require_digits(n, n * math.log10(dist.den))
     _require_plan(what, [40 * (n - 1)])    # the chain's fixed steps alone, before the powers' atoms are counted
     bits, atoms = (dist.den - 1).bit_length(), [1, *itertools.islice(_sum_atoms(itertools.repeat((dist, 1, 1))), n)]
 

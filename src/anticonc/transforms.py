@@ -11,6 +11,7 @@ A centered sequence assigns a nonnegative rational to every lattice position
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,21 +124,31 @@ def gabriel_sides(seqs: Sequence[CenteredSeq]) -> tuple[Fraction, Fraction]:
 # -- peakedness ------------------------------------------------------------
 
 
+def _first_gap(a: Dist, b: Dist, otherwise: int | None = None) -> int | None:
+    """The smallest radius r with P(|A| <= r) > P(|B| <= r), A ~ a and B ~ b, else `otherwise`.  Both sides rise
+    only at the radii of atoms, so one pass over those radii in order, on numerators over a.den * b.den, meets each."""
+    rise: dict[int, int] = {}
+    for law, weight in ((a, b.den), (b, -a.den)):
+        for (x,), m in zip(law.support, law.nums):
+            rise[abs(x)] = rise.get(abs(x), 0) + weight * m
+    radii = sorted(rise)
+    return next((r for r, gap in zip(radii, itertools.accumulate([rise[r] for r in radii])) if gap > 0), otherwise)
+
+
 def peakedness_dominates(mu: Dist, nu: Dist) -> bool:
     """True when P(|Y'| <= k) >= P(|Y| <= k) for all k, Y ~ mu, Y' ~ nu."""
     if mu.dim != 1 or nu.dim != 1:
         raise DimensionMismatch("peakedness comparisons need dimension 1")
-    radius = max(abs(x) for d in (mu, nu) for (x,) in d.support)
-    return all(mu.interval_prob(k) <= nu.interval_prob(k) for k in range(radius + 1))
+    return _first_gap(mu, nu) is None
 
 
 def birnbaum_sides(mu_x: Dist, mu_y: Dist, mu_yp: Dist, k: int) -> tuple[Fraction, Fraction]:
-    """Central interval mass of X + Y versus X + Y'.
+    """Central interval mass of X + Y versus X + Y' at radius k.
 
-    Requires X symmetric unimodal, Y and Y' symmetric unimodal, and Y' at
-    least as peaked as Y; then P(|X + Y| <= k) <= P(|X + Y'| <= k).
-    Raises PreconditionViolated naming the hypothesis that fails, and
-    AssertionFailed if the inequality does.
+    Requires X, Y and Y' symmetric unimodal and Y' at least as peaked as Y;
+    then P(|X + Y| <= r) <= P(|X + Y'| <= r) at every radius r.  Raises
+    PreconditionViolated naming the hypothesis that fails, and
+    AssertionFailed, its witness k the smallest r where the inequality does.
     """
     if any(d.dim != 1 for d in (mu_x, mu_y, mu_yp)):
         raise DimensionMismatch("peakedness comparisons need dimension 1")
@@ -148,6 +159,8 @@ def birnbaum_sides(mu_x: Dist, mu_y: Dist, mu_yp: Dist, k: int) -> tuple[Fractio
             raise PreconditionViolated(f"{name} is not unimodal")
     if not peakedness_dominates(mu_y, mu_yp):
         raise PreconditionViolated("Y' is not at least as peaked as Y")
-    lhs, rhs = convolve_all([mu_x, mu_y]).interval_prob(k), convolve_all([mu_x, mu_yp]).interval_prob(k)
-    require_bound("peakedness failed to transfer through the convolution", lhs, rhs, k=k, X=mu_x, Y=mu_y, Yp=mu_yp)
+    sums = convolve_all([mu_x, mu_y]), convolve_all([mu_x, mu_yp])
+    r = _first_gap(*sums, k)
+    lhs, rhs = sums[0].interval_prob(r), sums[1].interval_prob(r)
+    require_bound("peakedness failed to transfer through the convolution", lhs, rhs, k=r, X=mu_x, Y=mu_y, Yp=mu_yp)
     return lhs, rhs

@@ -556,6 +556,14 @@ SPREAD24 = json.dumps([uniform_on([0, 3**i]).to_json_obj() for i in range(24)]) 
 POINT = json.dumps(delta(0).to_json_obj())
 WIDE3 = json.dumps([uniform_on(range(3000)).to_json_obj()] * 3)    # 5,999 atoms in the sum of the first two
 WIDE_PEAKED = json.dumps([uniform_on(range(-r, r + 1)).to_json_obj() for r in (1500, 1500, 1000)])
+WIDER_PEAKED = json.dumps([uniform_on(range(-r, r + 1)).to_json_obj() for r in (3000, 3000, 2000)])
+# one law on 0..99 and 255 point masses: the alternating bound forms the power of 128 copies of the first law
+SPREAD_BALANCING = json.dumps([uniform_on(range(100)).to_json_obj()] + [delta(0).to_json_obj()] * 255)
+# 2,000 two-atom laws of denominators 2..2,001, whose product has 5,739 digits
+LONG_DENOMINATORS = json.dumps([Dist.from_entries([(0, F(1, d)), (1, F(d - 1, d))]).to_json_obj()
+                                for d in range(2, 2002)])
+# two atoms 2 * 10^7 apart: not unimodal, read from the atoms alone
+FAR = json.dumps([law.to_json_obj() for law in (uniform_on([-10**7, 10**7]), uniform_on([-1, 0, 1]), delta(0))])
 
 
 @pytest.mark.parametrize("text, command", TOO_LARGE + [
@@ -563,6 +571,7 @@ WIDE_PEAKED = json.dumps([uniform_on(range(-r, r + 1)).to_json_obj() for r in (1
     (EIGHT, "scan signs --in {in} --n 24"),
     (TINY, "scan signs --in {in} --n 15"),
     (SPREAD24, "dist conv --in {in}"),
+    (LONG_DENOMINATORS, "dist conv --in {in}"),
 ])
 def test_every_size_refusal_has_one_shape(tmp_path, capsys, text, command):
     # one gate raises every cap refusal; the sign search on 8 spread atoms predicts 1.4e10 steps, hours of work
@@ -576,7 +585,9 @@ def test_every_size_refusal_has_one_shape(tmp_path, capsys, text, command):
     (SPREAD24, "check monotone --in {in}"),
     (WIDE3, "check monotone --in {in}"),
     (WIDE_PEAKED, "check birnbaum --in {in} --k 3"),
-], ids=["monotone-spread", "monotone-wide", "birnbaum-wide"])
+    (WIDER_PEAKED, "check birnbaum --in {in} --k 3"),
+    (SPREAD_BALANCING, "check balancing --in {in} --x 0"),
+], ids=["monotone-spread", "monotone-wide", "birnbaum-wide", "birnbaum-wider", "balancing-power"])
 def test_a_check_of_given_laws_is_refused_by_the_sums_it_forms(tmp_path, capsys, text, command):
     # the prefix sums of `check monotone` and the two sums of `check birnbaum` pass the gate of every sum of given laws
     test_every_size_refusal_has_one_shape(tmp_path, capsys, text, command)
@@ -605,12 +616,17 @@ def test_exact_values_are_refused_by_their_digits_before_they_print(capsys, admi
     assert admitted or re.fullmatch(r"error: exact values of \d+ summands predict \d+ digits, above the cap 4300\n", err)
 
 
-def test_a_search_too_long_for_its_chain_is_refused_at_once(tmp_path, capsys):
+@pytest.mark.parametrize("text, command, message", [
     # the chain's 40 steps per convolution are summed before any law is counted
+    (POINT, "scan signs --in {in} --n 1000000000",
+     "500000001 sign laws of 1000000000 summands predict 39999999960 steps, above the cap 5000000"),
+    (FAR, "check birnbaum --in {in} --k 0", "X is not unimodal"),
+], ids=["search-chain", "birnbaum-far-atoms"])
+def test_an_input_refused_before_any_work_is_refused_at_once(tmp_path, capsys, text, command, message):
     start = time.perf_counter()
-    err = _run_malformed(tmp_path, capsys, POINT, "scan signs --in {in} --n 1000000000")
+    err = _run_malformed(tmp_path, capsys, text, command)
     assert time.perf_counter() - start < 0.05
-    assert err == "error: 500000001 sign laws of 1000000000 summands predict 39999999960 steps, above the cap 5000000\n"
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("sub, checker, instance_keys", [

@@ -16,6 +16,7 @@ from anticonc import (
     uniform_on,
     weighted_sum,
 )
+from anticonc import dist as dist_module, errors
 from anticonc.dist import _alternating_zero, _sum_atoms, as_fraction, as_point
 from anticonc.errors import DimensionMismatch, MassNotOne, NegativeMass, TooLarge, ZeroWeight
 
@@ -224,6 +225,38 @@ def test_all_ones_weighted_sum_is_iterated_convolution(d, n):
 @given(dists(coord_bound=1), st.integers(0, 8))
 def test_self_convolve_is_the_iterated_product(d, n):
     assert self_convolve(d, n) == reduce(Dist.convolve, [d] * n, delta((0,) * d.dim))
+
+
+@given(st.one_of(dists(coord_bound=2), dists(coord_bound=1000), dists(coord_bound=2, coprime=True)),
+       st.integers(2, 12))
+def test_power_plan_never_undercounts(d, n):
+    # caps one below the largest law self_convolve forms, or below the steps of its products priced from the laws it
+    # actually multiplied (40 steps plus the atom products weighted by the bits of the two numerators), refuse it
+    sizes, steps = [], []
+    convolve = Dist.convolve
+
+    def counted(a, b):
+        out = convolve(a, b)
+        sizes.append(len(out.support))
+        bits = max(a.nums).bit_length() * max(b.nums).bit_length()
+        steps.append(40 + len(a.support) * len(b.support) * (2**20 + bits) // 2**20)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Dist, "convolve", counted)
+        for cap in ("MAX_ATOMS", "MAX_WORK"):
+            patch.setattr(errors, cap, math.inf)
+            patch.setattr(dist_module, cap, math.inf)
+        self_convolve(d, n)
+        if max(sizes) > 1:      # a cap of 0 is no cap
+            patch.setattr(errors, "MAX_ATOMS", max(sizes) - 1)
+            with pytest.raises(TooLarge, match=f"^{n} copies of a law predict .* atoms"):
+                self_convolve(d, n)
+        patch.setattr(errors, "MAX_ATOMS", math.inf)
+        patch.setattr(errors, "MAX_WORK", sum(steps) - 1)
+        patch.setattr(dist_module, "MAX_WORK", sum(steps) - 1)
+        with pytest.raises(TooLarge, match=f"^{n} copies of a law predict .* steps"):
+                self_convolve(d, n)
 
 
 GROUPS = st.integers(1, 3).flatmap(lambda dim: st.lists(dists(dim=dim), min_size=1, max_size=2)).flatmap(

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from anticonc import (
@@ -20,7 +20,8 @@ from anticonc import (
     gabriel_sides,
     uniform_on,
 )
-from anticonc.errors import NotSymmetrizable, PreconditionViolated
+from anticonc import transforms
+from anticonc.errors import AssertionFailed, NotSymmetrizable, PreconditionViolated
 from anticonc.sampling import (
     random_centered_seq,
     random_peaked_pair,
@@ -199,6 +200,18 @@ class TestPeakedness:
                 lhs, rhs = birnbaum_sides(x, y, yp, k)
                 assert lhs <= rhs
 
+    def test_a_failure_is_reported_at_the_smallest_failing_radius(self, monkeypatch):
+        # with the two sums swapped, X + Y' against X + Y: equal at radius 0, 1 against 5/6 at radius 1; the sides at
+        # k = 0 and at k = 2 hold, so only a check of every radius finds the failure, and the witness replays it
+        x, y, yp = uniform_on([-1, 0, 1]), Dist.from_entries([(-1, "1/4"), (0, "1/2"), (1, "1/4")]), delta(0)
+        convolve_all = transforms.convolve_all
+        monkeypatch.setattr(transforms, "convolve_all", lambda laws: convolve_all([laws[0], {y: yp, yp: y}[laws[1]]]))
+        for k in (0, 2):
+            with pytest.raises(AssertionFailed) as failure:
+                birnbaum_sides(x, y, yp, k)
+            assert failure.value.witness == {"k": 1, "X": x, "Y": y, "Yp": yp, "lhs": F(1), "rhs": F(5, 6)}
+            assert reference_first_gap(x.convolve(yp), x.convolve(y)) == 1
+
     def test_convolution_preserves_symmetric_unimodality(self):
         rng = random.Random(17)
         for _ in range(50):
@@ -207,3 +220,49 @@ class TestPeakedness:
             c = a.convolve(b)
             assert c.is_symmetric()
             assert c.is_unimodal()
+
+
+def reference_is_unimodal(d):
+    # the pmf walk over the whole coordinate range of the support, zeros in its gaps
+    lo, hi = d.support[0][0], d.support[-1][0]
+    pmf = [d.atom(x) for x in range(lo, hi + 1)]
+    i = 0
+    while i + 1 < len(pmf) and pmf[i] <= pmf[i + 1]:
+        i += 1
+    while i + 1 < len(pmf) and pmf[i] >= pmf[i + 1]:
+        i += 1
+    return i == len(pmf) - 1
+
+
+def reference_first_gap(mu, nu):
+    # the per-radius comparison: every k from 0 to the largest radius of an atom, each side summed afresh
+    radius = max(abs(x) for d in (mu, nu) for (x,) in d.support)
+    return next((k for k in range(radius + 1) if mu.interval_prob(k) > nu.interval_prob(k)), None)
+
+
+@st.composite
+def line_laws(draw):
+    """A 1-D law with small integer weights, so that plateaus are common: on any points of -6..6 (gaps and negative
+    points), on a run of consecutive points, or mirrored about 0."""
+    shape = draw(st.sampled_from(["any", "run", "mirrored"]))
+    if shape == "any":
+        points = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=8, unique=True))
+    elif shape == "run":
+        start = draw(st.integers(-6, 3))
+        points = list(range(start, start + draw(st.integers(1, 8))))
+    else:
+        half = draw(st.lists(st.integers(1, 6), max_size=4, unique=True))
+        points = [0] * draw(st.booleans()) + half + [-x for x in half] or [0]
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(points), max_size=len(points)))
+    if shape == "mirrored":
+        weights = [dict(zip(map(abs, points), weights))[abs(x)] for x in points]
+    return Dist.from_entries([(x, F(w, sum(weights))) for x, w in zip(points, weights)])
+
+
+@given(line_laws(), line_laws())
+@example(uniform_on([-1, 0, 1]), delta(0))
+@example(Dist.from_entries([(-2, "1/2"), (2, "1/2")]), uniform_on([-1, 0, 1]))
+def test_unimodality_and_peakedness_match_the_range_walks(mu, nu):
+    assert mu.is_unimodal() == reference_is_unimodal(mu)
+    assert transforms._first_gap(mu, nu) == reference_first_gap(mu, nu)
+    assert peakedness_dominates(mu, nu) == (reference_first_gap(mu, nu) is None)
