@@ -217,7 +217,8 @@ CHECKS = {
     "birnbaum": _Check(
         "peakedness transfer through convolution",
         (("--k", {"type": int, "help": "interval radius (fixed instance)"}),),
-        _draw_birnbaum, lambda instance: birnbaum_sides(instance["X"], instance["Y"], instance["Yp"], 0),
+        _draw_birnbaum,
+        lambda instance: birnbaum_sides(instance["X"], instance["Y"], instance["Yp"], 0),
         _fixed_birnbaum,
     ),
     "balancing": _Check(

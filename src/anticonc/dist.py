@@ -176,14 +176,16 @@ class Dist:
         return self == self.negate()
 
     def is_unimodal(self) -> bool:
-        """True when the pmf on the integer range of the support rises then falls: a zero inside the support breaks
-        that, so the support has no gap, and the numerators rise to their first maximum, then fall."""
+        """True when the pmf on the integer range of the support rises then falls.
+
+        Interior lattice points with zero mass count as zeros, so a gap
+        between two massive points breaks unimodality.
+        """
         if self.dim != 1:
             raise DimensionMismatch("unimodality is defined here for dimension 1")
         top = self.nums.index(max(self.nums))
-        rise, fall = list(self.nums[:top + 1]), list(self.nums[top:])
-        return (self.support[-1][0] - self.support[0][0] == len(self.nums) - 1
-                and rise == sorted(rise) and fall == sorted(fall, reverse=True))
+        no_gap = self.support[-1][0] - self.support[0][0] == len(self.nums) - 1
+        return no_gap and list(self.nums) == sorted(self.nums[:top]) + sorted(self.nums[top:], reverse=True)
 
     def mean(self) -> Fraction:
         if self.dim != 1:
@@ -346,17 +348,27 @@ def _fold(what: str, dists: Sequence[Dist]) -> Iterable[int]:
 
 
 def self_convolve(dist: Dist, n: int) -> Dist:
-    """n-fold convolution power by square and multiply; n = 0 gives the point mass at the origin.  Exact, canonical
-    laws make the product order moot.  Priced first: m copies have the `_sum_atoms` count of m copies, at most that of
-    n, and m times dist's bits; when 2 log2 n products of two n-copy laws fit, that bound is the price."""
+    """n-fold convolution power by square and multiply; n = 0 gives the point
+    mass at the origin.  Exact, canonical laws make the product order moot."""
     _require_at_least("n", n, 0)
-    what, bits, top = f"{n} copies of a law", (dist.den - 1).bit_length(), next(_sum_atoms([(dist, 1, n)]))
-    _require_within(what, top, "atoms")
-    if 2 * n.bit_length() * _product(top, top, n * bits, n * bits) > MAX_WORK:
-        # (a, b): a copies times b copies; the squares, then each set bit of n above the lowest times the bits below
+    return _power(dist, n, 0)
+
+
+def _power(dist: Dist, n: int, more: int) -> Dist:
+    """dist's n-th power, priced first with the `more` products by dist that follow it: a copies times b copies (the
+    squares, each set bit of n above the lowest times the bits below, then n times 1) have the `_sum_atoms` count
+    of a + b copies, at most that of n + more, and a and b times dist's bits.  No law formed has more atoms than the
+    multisets of n + more of dist's atoms, so when 2 log2 n + more products of that many atoms fit the caps, that
+    price stands and nothing is counted."""
+    copies, bits = n + more, (dist.den - 1).bit_length()
+    top = math.comb(copies + len(dist.support) - 1, copies)
+    if top > MAX_ATOMS or (2 * n.bit_length() + more) * _product(top, top, copies * bits, copies * bits) > MAX_WORK:
+        what = f"{copies} copies of a law"
         plan = [(1 << j, 1 << j) for j in range(n.bit_length() - 1)]
         plan += [(n & (1 << i) - 1, 1 << i) for i in range(n.bit_length()) if n >> i & 1 and n & (1 << i) - 1]
-        atoms = {c: next(_sum_atoms([(dist, 1, c)])) for pair in plan for c in pair}
+        plan += [(n, 1)] * more
+        atoms = {c: next(_sum_atoms([(dist, 1, c)])) for c in {copies, *itertools.chain(*plan)}}
+        _require_within(what, atoms[copies], "atoms")
         _require_plan(what, [_product(atoms[a], atoms[b], a * bits, b * bits) for a, b in plan])
     out = delta((0,) * dist.dim) if n == 0 else None
     while n:
@@ -388,8 +400,8 @@ def _alternating_zero(mu: Dist, n: int) -> Fraction:
     h = n // 2 the minus side is -S_h and the plus side S_h, times mu once more
     when n is odd, so no pair law and no full power is formed; at even n this is
     the sum of the squared atoms of S_h."""
-    half = self_convolve(mu, n // 2)
-    return _hit([half, mu, half.negate()] if n % 2 else [half, half.negate()], (0,) * mu.dim)
+    half = _power(mu, n // 2, n % 2)
+    return _hit([half.convolve(mu) if n % 2 else half, half.negate()], (0,) * mu.dim)
 
 
 class ScaledDist(NamedTuple):

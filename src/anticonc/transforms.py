@@ -31,9 +31,6 @@ __all__ = [
     "rearrange_symmetric",
 ]
 
-_ZERO = Fraction(0)
-
-
 @dataclass(frozen=True)
 class CenteredSeq:
     """Nonnegative rationals on positions -k..k, stored left to right."""
@@ -58,7 +55,7 @@ class CenteredSeq:
         i = position + self.radius
         if 0 <= i < len(self.values):
             return self.values[i]
-        return _ZERO
+        return Fraction(0)
 
 
 def rearrange_left(seq: CenteredSeq) -> CenteredSeq:
@@ -100,7 +97,7 @@ def _zero_sum_coefficient(seqs: Sequence[CenteredSeq]) -> Fraction:
     nums = [[v.numerator * (den // v.denominator) for v in seq.values] for seq, den in zip(seqs, dens)]
     totals = [sum(ns) for ns in nums]
     if not all(totals):
-        return _ZERO
+        return Fraction(0)
     laws = [_canonical(1, {(i,): m for i, m in enumerate(ns, -seq.radius)}, t) for seq, ns, t in zip(seqs, nums, totals)]
     return Fraction(math.prod(totals), math.prod(dens)) * _hit(laws, 0)
 
@@ -126,13 +123,12 @@ def gabriel_sides(seqs: Sequence[CenteredSeq]) -> tuple[Fraction, Fraction]:
 
 def _first_gap(a: Dist, b: Dist, otherwise: int | None = None) -> int | None:
     """The smallest radius r with P(|A| <= r) > P(|B| <= r), A ~ a and B ~ b, else `otherwise`.  Both sides rise
-    only at the radii of atoms, so one pass over those radii in order, on numerators over a.den * b.den, meets each."""
-    rise: dict[int, int] = {}
-    for law, weight in ((a, b.den), (b, -a.den)):
-        for (x,), m in zip(law.support, law.nums):
-            rise[abs(x)] = rise.get(abs(x), 0) + weight * m
-    radii = sorted(rise)
-    return next((r for r, gap in zip(radii, itertools.accumulate([rise[r] for r in radii])) if gap > 0), otherwise)
+    only at the radii of atoms: one pass over the atoms by radius, on numerators over a.den * b.den, meets each, and
+    at one radius B's negative terms come first, so the running gap passes 0 there only if its total does."""
+    steps = sorted([(abs(x), b.den * m) for (x,), m in zip(a.support, a.nums)]
+                   + [(abs(x), -a.den * m) for (x,), m in zip(b.support, b.nums)])
+    gaps = itertools.accumulate([step for _, step in steps])
+    return next((r for (r, _), gap in zip(steps, gaps) if gap > 0), otherwise)
 
 
 def peakedness_dominates(mu: Dist, nu: Dist) -> bool:

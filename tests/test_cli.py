@@ -562,6 +562,9 @@ SPREAD_BALANCING = json.dumps([uniform_on(range(100)).to_json_obj()] + [delta(0)
 # 2,000 two-atom laws of denominators 2..2,001, whose product has 5,739 digits
 LONG_DENOMINATORS = json.dumps([Dist.from_entries([(0, F(1, d)), (1, F(d - 1, d))]).to_json_obj()
                                 for d in range(2, 2002)])
+# 5 summands of a flat law of 819 atoms over a denominator of 2,001 bits: the half sum of 2 copies fits the caps, and
+# its product with one more copy is priced with it
+LONG_FLAT = f"{(2**2000 + 1) // 819 + 1}/{2**2000 + 1}"
 # two atoms 2 * 10^7 apart: not unimodal, read from the atoms alone
 FAR = json.dumps([law.to_json_obj() for law in (uniform_on([-10**7, 10**7]), uniform_on([-1, 0, 1]), delta(0))])
 
@@ -572,6 +575,7 @@ FAR = json.dumps([law.to_json_obj() for law in (uniform_on([-10**7, 10**7]), uni
     (TINY, "scan signs --in {in} --n 15"),
     (SPREAD24, "dist conv --in {in}"),
     (LONG_DENOMINATORS, "dist conv --in {in}"),
+    (None, f"asym corollary2 --n 5 --alpha {LONG_FLAT}"),
 ])
 def test_every_size_refusal_has_one_shape(tmp_path, capsys, text, command):
     # one gate raises every cap refusal; the sign search on 8 spread atoms predicts 1.4e10 steps, hours of work

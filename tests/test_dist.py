@@ -227,11 +227,16 @@ def test_self_convolve_is_the_iterated_product(d, n):
     assert self_convolve(d, n) == reduce(Dist.convolve, [d] * n, delta((0,) * d.dim))
 
 
+@pytest.mark.parametrize("odd", [0, 1])
 @given(st.one_of(dists(coord_bound=2), dists(coord_bound=1000), dists(coord_bound=2, coprime=True)),
        st.integers(2, 12))
-def test_power_plan_never_undercounts(d, n):
+def test_power_plan_never_undercounts(odd, d, n):
     # caps one below the largest law self_convolve forms, or below the steps of its products priced from the laws it
-    # actually multiplied (40 steps plus the atom products weighted by the bits of the two numerators), refuse it
+    # actually multiplied (40 steps plus the atom products weighted by the bits of the two numerators), refuse it; at
+    # odd = 1 the zero mass of 2n + 1 alternating copies forms the n-th power and then its product with d
+    def power():
+        return dist_module._alternating_zero(d, 2 * n + 1) if odd else self_convolve(d, n)
+
     sizes, steps = [], []
     convolve = Dist.convolve
 
@@ -247,16 +252,18 @@ def test_power_plan_never_undercounts(d, n):
         for cap in ("MAX_ATOMS", "MAX_WORK"):
             patch.setattr(errors, cap, math.inf)
             patch.setattr(dist_module, cap, math.inf)
-        self_convolve(d, n)
+        power()
         if max(sizes) > 1:      # a cap of 0 is no cap
             patch.setattr(errors, "MAX_ATOMS", max(sizes) - 1)
-            with pytest.raises(TooLarge, match=f"^{n} copies of a law predict .* atoms"):
-                self_convolve(d, n)
+            patch.setattr(dist_module, "MAX_ATOMS", max(sizes) - 1)
+            with pytest.raises(TooLarge, match=f"^{n + odd} copies of a law predict .* atoms"):
+                power()
         patch.setattr(errors, "MAX_ATOMS", math.inf)
+        patch.setattr(dist_module, "MAX_ATOMS", math.inf)
         patch.setattr(errors, "MAX_WORK", sum(steps) - 1)
         patch.setattr(dist_module, "MAX_WORK", sum(steps) - 1)
-        with pytest.raises(TooLarge, match=f"^{n} copies of a law predict .* steps"):
-                self_convolve(d, n)
+        with pytest.raises(TooLarge, match=f"^{n + odd} copies of a law predict .* steps"):
+            power()
 
 
 GROUPS = st.integers(1, 3).flatmap(lambda dim: st.lists(dists(dim=dim), min_size=1, max_size=2)).flatmap(
