@@ -48,7 +48,7 @@ def local_limit_exact(n: int, alpha: RationalLike) -> Fraction:
     _require_at_least("n", n, 1)
     u = quasi_uniform(alpha)
     _require_summands(n, len(u.support), u.den)
-    return _alternating_zero(u, n)
+    return _alternating_zero([u], n)[0]
 
 
 def small_dev_ratio_exact(n: int, p: RationalLike, k: int) -> Fraction:

@@ -21,8 +21,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .errors import (MAX_ATOMS, MAX_WORK, DimensionMismatch, MassNotOne, NegativeMass, ZeroWeight, _product,
-                     _require_at_least, _require_common_dim, _require_digits, _require_plan, _require_within)
+from .errors import (DimensionMismatch, MassNotOne, NegativeMass, ZeroWeight, _fits, _product, _require_at_least,
+                     _require_common_dim, _require_digits, _require_plan, _require_within)
 
 __all__ = [
     "Dist",
@@ -310,8 +310,9 @@ def _prefix_sums(dists: Sequence[Dist]) -> Iterator[Dist]:
     """The laws of X_1, X_1 + X_2, ... for independent X_i ~ dists[i], the fold priced before its first product."""
     _require_common_dim(dists, "distribution")
     if len(dists) > 1:
+        what = f"the sum of {len(dists)} laws"
         _require_digits(len(dists), sum([math.log10(d.den) for d in dists]))
-        _require_plan(f"the sum of {len(dists)} laws", _fold(f"the sum of {len(dists)} laws", dists))
+        _require_plan(what, _fold(what, [(d, 1, 1) for d in dists]))
     return itertools.accumulate(dists, Dist.convolve)
 
 
@@ -330,54 +331,48 @@ def _sum_atoms(groups: Iterable[tuple[Dist, int, int]]) -> Iterator[int]:
         yield min(multisets, math.prod([width // (g or 1) + 1 for width, g in box.values()]))
 
 
-def _fold(what: str, dists: Sequence[Dist]) -> Iterable[int]:
-    """Steps of each product of the left fold of `dists`: the sum of the first i laws, refused above MAX_ATOMS, has
-    the i-th count of `_sum_atoms` of its laws, equal laws as one, and numerators of at most their dens' summed bits.
-    No count exceeds the product P of all the atom counts, so when P and n - 1 products of P atoms of all the bits
-    fit the caps, that one price stands for the fold and nothing is counted."""
-    bound, total = math.prod([len(d.support) for d in dists]), sum([(d.den - 1).bit_length() for d in dists])
-    if bound <= MAX_ATOMS and (crude := (len(dists) - 1) * _product(bound, 1, total, total)) <= MAX_WORK:
+def _fold(what: str, groups: Sequence[tuple[Dist, int, int]]) -> Iterator[int]:
+    """Steps of each product of the left fold of groups (law X, weight w, count m), each the law of m iid copies of
+    w X formed beforehand, of numerators of m times X's bits: the sum of the first i groups, refused above MAX_ATOMS,
+    has the i-th count of `_sum_atoms`, equal laws as one, and group i alone its first.  No law formed and no
+    product's atom pairs exceed the product P of the groups' multisets C(m + |X| - 1, m), so when P and the fold's
+    products priced at P atoms of all the bits fit the caps, that one price stands and nothing is counted."""
+    bound, total = 1, 0
+    for x, _, m in groups:
+        bound, total = bound * math.comb(m + len(x.support) - 1, m), total + m * (x.den - 1).bit_length()
+    if _fits(bound, crude := (len(groups) - 1) * _product(bound, 1, total, total)):
         yield crude
         return
-    atoms, bits, equal = 1, 0, {}
-    for i, (d, summed) in enumerate(zip(dists, _sum_atoms([(equal.setdefault(d, d), 1, 1) for d in dists]))):
+    atoms, before, equal = 1, 0, {}
+    groups = [(equal.setdefault(x, x), w, m) for x, w, m in groups]
+    for i, ((x, w, m), summed) in enumerate(zip(groups, _sum_atoms(groups))):
         if i:
             _require_within(what, summed, "atoms")
-            yield _product(atoms, len(d.support), bits, (d.den - 1).bit_length())
-        atoms, bits = summed, bits + (d.den - 1).bit_length()
+            yield _product(atoms, next(_sum_atoms([(x, w, m)])), before, m * (x.den - 1).bit_length())
+        atoms, before = summed, before + m * (x.den - 1).bit_length()
 
 
 def self_convolve(dist: Dist, n: int) -> Dist:
     """n-fold convolution power by square and multiply; n = 0 gives the point
     mass at the origin.  Exact, canonical laws make the product order moot."""
     _require_at_least("n", n, 0)
-    return _power(dist, n, 0)
+    return next(_power([dist], n, 0))[n]
 
 
-def _power(dist: Dist, n: int, more: int) -> Dist:
-    """dist's n-th power, priced first with the `more` products by dist that follow it: a copies times b copies (the
-    squares, each set bit of n above the lowest times the bits below, then n times 1) have the `_sum_atoms` count
-    of a + b copies, at most that of n + more, and a and b times dist's bits.  No law formed has more atoms than the
-    multisets of n + more of dist's atoms, so when 2 log2 n + more products of that many atoms fit the caps, that
-    price stands and nothing is counted."""
-    copies, bits = n + more, (dist.den - 1).bit_length()
-    top = math.comb(copies + len(dist.support) - 1, copies)
-    if top > MAX_ATOMS or (2 * n.bit_length() + more) * _product(top, top, copies * bits, copies * bits) > MAX_WORK:
-        what = f"{copies} copies of a law"
-        plan = [(1 << j, 1 << j) for j in range(n.bit_length() - 1)]
-        plan += [(n & (1 << i) - 1, 1 << i) for i in range(n.bit_length()) if n >> i & 1 and n & (1 << i) - 1]
-        plan += [(n, 1)] * more
-        atoms = {c: next(_sum_atoms([(dist, 1, c)])) for c in {copies, *itertools.chain(*plan)}}
-        _require_within(what, atoms[copies], "atoms")
-        _require_plan(what, [_product(atoms[a], atoms[b], a * bits, b * bits) for a, b in plan])
-    out = delta((0,) * dist.dim) if n == 0 else None
-    while n:
-        if n & 1:
-            out = dist if out is None else out.convolve(dist)
-        n >>= 1
-        if n:
-            dist = dist.convolve(dist)
-    return out
+def _power(laws: Sequence[Dist], n: int, odd: int) -> Iterator[dict[int, Dist]]:
+    """Per law in turn, the powers square and multiply forms up to n copies, and n + 1 when odd, keyed by copies.  One
+    plan prices the products of all the laws before the first: a copies times b copies (the squares, each set bit of
+    n above the lowest times the bits below, then n times 1 when odd) is the fold of groups (law, 1, a), (law, 1, b)."""
+    what = f"{n + odd} copies of " + ("a law" if len(laws) == 1 else f"{len(laws)} laws")
+    plan = [(1 << j, 1 << j) for j in range(n.bit_length() - 1)]
+    plan += [(n & (1 << i) - 1, 1 << i) for i in range(n.bit_length()) if n >> i & 1 and n & (1 << i) - 1]
+    plan += [(n, 1)] * odd
+    _require_plan(what, itertools.chain(*[_fold(what, [(mu, 1, a), (mu, 1, b)]) for mu in laws for a, b in plan]))
+    for mu in laws:
+        power = {1: mu, 0: delta((0,) * mu.dim)} if n == 0 else {1: mu}
+        for a, b in plan:
+            power[a + b] = power[a].convolve(power[b])
+        yield power
 
 
 def _hit(dists: Sequence[Dist], x: PointLike) -> Fraction:
@@ -394,14 +389,13 @@ def _hit(dists: Sequence[Dist], x: PointLike) -> Fraction:
     return Fraction(total, head.den * last.den)
 
 
-def _alternating_zero(mu: Dist, n: int) -> Fraction:
-    """P(Y_1 - Y_2 + Y_3 - ... = 0) for n iid copies of mu: the ceil(n/2) plus
-    summands against the floor(n/2) minus summands, one hit at the origin.  With
-    h = n // 2 the minus side is -S_h and the plus side S_h, times mu once more
-    when n is odd, so no pair law and no full power is formed; at even n this is
-    the sum of the squared atoms of S_h."""
-    half = _power(mu, n // 2, n % 2)
-    return _hit([half.convolve(mu) if n % 2 else half, half.negate()], (0,) * mu.dim)
+def _alternating_zero(laws: Sequence[Dist], n: int) -> list[Fraction]:
+    """P(Y_1 - Y_2 + Y_3 - ... = 0) for n iid copies of each law: the ceil(n/2) plus summands against the floor(n/2)
+    minus summands, one hit at the origin.  With h = n // 2 the minus side is -S_h and the plus side S_h, times the
+    law once more when n is odd, so no pair law and no full power is formed; at even n this is the sum of the squared
+    atoms of S_h.  The powers of all the laws, odd products included, are priced in one plan before the first."""
+    h, odd = n // 2, n % 2
+    return [_hit([power[h + odd], power[h].negate()], (0,) * power[1].dim) for power in _power(laws, h, odd)]
 
 
 class ScaledDist(NamedTuple):

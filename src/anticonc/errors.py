@@ -132,6 +132,11 @@ def _require_within(what, count, unit):
         raise TooLarge(f"{what} predict {count} {unit}, above the cap {cap}")
 
 
+def _fits(atoms, steps):
+    """Whether a law of `atoms` atoms and a plan of `steps` steps are within the caps, read as the gate runs."""
+    return atoms <= MAX_ATOMS and steps <= MAX_WORK
+
+
 def _require_flat(a):
     """A level in (0, 1) whose flat law, of ceil(1/a) atoms, fits MAX_ATOMS."""
     _require_alpha(a)

@@ -55,8 +55,7 @@ def agm_step(first_half: Sequence[Dist], second_half: Sequence[Dist]) -> AgmStep
     s = convolve_all(first_half)
     t = convolve_all(second_half)
     joint = _hit([s, t], (0,) * dim)
-    first_sym = _alternating_zero(s, 2)
-    second_sym = _alternating_zero(t, 2)
+    first_sym, second_sym = _alternating_zero([s, t], 2)
     mirror = t == s.negate()
     bound = max(first_sym, second_sym)
     if joint > bound or (joint == bound and not mirror):
@@ -89,8 +88,9 @@ def balancing_bound(dists: Sequence[Dist], x: PointLike) -> BalancingBound:
     _require_even(n)
     _require_common_dim(dists, "distribution")
     target = as_point(x)
+    laws = list(dict.fromkeys(dists))     # one zero mass per distinct law, all priced before the hit is formed
+    zero_mass = dict(zip(laws, _alternating_zero(laws, n)))
     lhs = _hit(dists, target)
-    zero_mass = {mu: _alternating_zero(mu, n) for mu in dict.fromkeys(dists)}   # once per distinct law
     rhs = [zero_mass[mu] for mu in dists]
     best_rhs = max(rhs)
     best_index = rhs.index(best_rhs)    # the first maximum: smallest index on ties

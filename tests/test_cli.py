@@ -559,6 +559,8 @@ WIDE_PEAKED = json.dumps([uniform_on(range(-r, r + 1)).to_json_obj() for r in (1
 WIDER_PEAKED = json.dumps([uniform_on(range(-r, r + 1)).to_json_obj() for r in (3000, 3000, 2000)])
 # one law on 0..99 and 255 point masses: the alternating bound forms the power of 128 copies of the first law
 SPREAD_BALANCING = json.dumps([uniform_on(range(100)).to_json_obj()] + [delta(0).to_json_obj()] * 255)
+# 40 laws uniform on i..i + 65: each power of 20 copies fits the caps alone, and all 40 share one plan
+MANY_BALANCING = json.dumps([uniform_on(range(i, i + 66)).to_json_obj() for i in range(40)])
 # 2,000 two-atom laws of denominators 2..2,001, whose product has 5,739 digits
 LONG_DENOMINATORS = json.dumps([Dist.from_entries([(0, F(1, d)), (1, F(d - 1, d))]).to_json_obj()
                                 for d in range(2, 2002)])
@@ -591,7 +593,8 @@ def test_every_size_refusal_has_one_shape(tmp_path, capsys, text, command):
     (WIDE_PEAKED, "check birnbaum --in {in} --k 3"),
     (WIDER_PEAKED, "check birnbaum --in {in} --k 3"),
     (SPREAD_BALANCING, "check balancing --in {in} --x 0"),
-], ids=["monotone-spread", "monotone-wide", "birnbaum-wide", "birnbaum-wider", "balancing-power"])
+    (MANY_BALANCING, "check balancing --in {in} --x 0"),
+], ids=["monotone-spread", "monotone-wide", "birnbaum-wide", "birnbaum-wider", "balancing-power", "balancing-laws"])
 def test_a_check_of_given_laws_is_refused_by_the_sums_it_forms(tmp_path, capsys, text, command):
     # the prefix sums of `check monotone` and the two sums of `check birnbaum` pass the gate of every sum of given laws
     test_every_size_refusal_has_one_shape(tmp_path, capsys, text, command)

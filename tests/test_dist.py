@@ -16,7 +16,7 @@ from anticonc import (
     uniform_on,
     weighted_sum,
 )
-from anticonc import dist as dist_module, errors
+from anticonc import errors
 from anticonc.dist import _alternating_zero, _sum_atoms, as_fraction, as_point
 from anticonc.errors import DimensionMismatch, MassNotOne, NegativeMass, TooLarge, ZeroWeight
 
@@ -176,7 +176,7 @@ class TestCombinators:
 @given(st.integers(1, 2).flatmap(dists), st.integers(1, 6))
 def test_alternating_zero_is_the_zero_mass_of_the_alternating_sum(mu, n):
     signs = [(-1) ** i for i in range(n)]
-    assert _alternating_zero(mu, n) == weighted_sum(signs, [mu] * n).dist.atom((0,) * mu.dim)
+    assert _alternating_zero([mu], n) == [weighted_sum(signs, [mu] * n).dist.atom((0,) * mu.dim)]
 
 
 @given(st.integers(1, 2).flatmap(lambda d: st.tuples(dists(dim=d), dists(dim=d))))
@@ -227,16 +227,26 @@ def test_self_convolve_is_the_iterated_product(d, n):
     assert self_convolve(d, n) == reduce(Dist.convolve, [d] * n, delta((0,) * d.dim))
 
 
-@pytest.mark.parametrize("odd", [0, 1])
-@given(st.one_of(dists(coord_bound=2), dists(coord_bound=1000), dists(coord_bound=2, coprime=True)),
-       st.integers(2, 12))
-def test_power_plan_never_undercounts(odd, d, n):
-    # caps one below the largest law self_convolve forms, or below the steps of its products priced from the laws it
-    # actually multiplied (40 steps plus the atom products weighted by the bits of the two numerators), refuse it; at
-    # odd = 1 the zero mass of 2n + 1 alternating copies forms the n-th power and then its product with d
-    def power():
-        return dist_module._alternating_zero(d, 2 * n + 1) if odd else self_convolve(d, n)
+def power_laws(dim):
+    return st.one_of(dists(dim=dim, coord_bound=2), dists(dim=dim, coord_bound=1000),
+                     dists(dim=dim, coord_bound=2, coprime=True))
 
+
+@pytest.mark.parametrize("case", ["power", "odd", "two-laws"])
+@given(st.integers(1, 2).flatmap(lambda dim: st.tuples(power_laws(dim), power_laws(dim))), st.integers(2, 12))
+def test_power_plan_never_undercounts(case, pair, n):
+    # caps one below the largest law formed, or below the steps of the products actually made (40 steps plus the atom
+    # products weighted by the bits of the two numerators), refuse: self_convolve(d, n); the zero mass of 2n + 1
+    # alternating copies of d, which forms the n-th power and then its product with d; and the zero masses of 2n
+    # alternating copies of d and of e, whose powers share one plan, so that each alone may fit the step cap.  The
+    # caps are patched in `errors` alone, where every gate reads them.
+    d, e = pair
+    laws, odd = ([d, e], 0) if case == "two-laws" else ([d], int(case == "odd"))
+
+    def power():
+        return self_convolve(d, n) if case == "power" else _alternating_zero(laws, 2 * n + odd)
+
+    refusal = f"^{n + odd} copies of {'2 laws' if len(laws) == 2 else 'a law'} predict .* "
     sizes, steps = [], []
     convolve = Dist.convolve
 
@@ -251,18 +261,14 @@ def test_power_plan_never_undercounts(odd, d, n):
         patch.setattr(Dist, "convolve", counted)
         for cap in ("MAX_ATOMS", "MAX_WORK"):
             patch.setattr(errors, cap, math.inf)
-            patch.setattr(dist_module, cap, math.inf)
         power()
         if max(sizes) > 1:      # a cap of 0 is no cap
             patch.setattr(errors, "MAX_ATOMS", max(sizes) - 1)
-            patch.setattr(dist_module, "MAX_ATOMS", max(sizes) - 1)
-            with pytest.raises(TooLarge, match=f"^{n + odd} copies of a law predict .* atoms"):
+            with pytest.raises(TooLarge, match=refusal + "atoms"):
                 power()
         patch.setattr(errors, "MAX_ATOMS", math.inf)
-        patch.setattr(dist_module, "MAX_ATOMS", math.inf)
         patch.setattr(errors, "MAX_WORK", sum(steps) - 1)
-        patch.setattr(dist_module, "MAX_WORK", sum(steps) - 1)
-        with pytest.raises(TooLarge, match=f"^{n + odd} copies of a law predict .* steps"):
+        with pytest.raises(TooLarge, match=refusal + "steps"):
             power()
 
 

@@ -53,7 +53,7 @@ def test_hit_is_the_atom_of_the_sum(case):
 
 @given(st.integers(1, 2).flatmap(dists), st.integers(1, 9))
 def test_alternating_zero_equals_the_pair_power(mu, n):
-    assert _alternating_zero(mu, n) == pair_power_zero(mu, n)
+    assert _alternating_zero([mu], n) == [pair_power_zero(mu, n)]
 
 
 @given(st.integers(1, 60), P_HALF)

@@ -64,7 +64,7 @@ class TestAgmStep:
         assert step.joint_zero <= max(step.first_sym_zero, step.second_sym_zero)
 
     def test_a_failed_bound_raises_with_its_witness(self, monkeypatch):
-        monkeypatch.setattr(reduction, "_alternating_zero", lambda mu, n: F(0))
+        monkeypatch.setattr(reduction, "_alternating_zero", lambda laws, n: [F(0)] * len(laws))
         b = bernoulli(F(1, 3))
         with pytest.raises(AssertionFailed, match="^split-and-symmetrize bound failed$") as raised:
             agm_step([b], [b])
