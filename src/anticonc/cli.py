@@ -99,20 +99,32 @@ class _Rows(NamedTuple):
     whole: object = None
 
 
-def _jsonable(value):
+def _dumps(value, indent: str = "\n") -> str:
+    """Byte for byte, json.dumps at an indent of 2 of the value with rationals as num/den, laws as canonical objects,
+    sequences as lists of values and dataclasses as their fields; a law's atoms are formatted from its integers."""
+    inner = indent + "  "
     if isinstance(value, Fraction):
-        return format_fraction(value)
+        return f'"{format_fraction(value)}"'
     if isinstance(value, Dist):
-        return value.to_json_obj()
+        i2, i3, i4 = inner + "  ", inner + "    ", inner + "      "
+        head, sep, tail = ("[" + i4, "," + i4, i3 + "]") if value.dim else ("[", "", "]")
+        atoms = ("," + i2).join([f'[{i3}{head}{sep.join(map(str, p))}{tail},{i3}"{q}"{i2}]'
+                                 for p, q in zip(value.support, value._mass_texts())])
+        return f'{{{inner}"dim": {value.dim},{inner}"atoms": [{i2}{atoms}{inner}]{indent}}}'
     if isinstance(value, CenteredSeq):
-        return [format_fraction(v) for v in value.values]
-    if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
+        value = value.values
+    elif is_dataclass(value) and not isinstance(value, type):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+        opening, closing = "{}"
+        items = [f"{json.encoder.encode_basestring_ascii(k)}: {_dumps(v, inner)}"
+                 for k, v in {str(k): v for k, v in value.items()}.items()]
+    elif isinstance(value, (list, tuple)):
+        opening, closing = "[]"
+        items = [_dumps(v, inner) for v in value]
+    else:
+        return json.dumps(value)
+    return f"{opening}{inner}{(',' + inner).join(items)}{indent}{closing}" if items else opening + closing
 
 
 def _emit(args, result) -> None:
@@ -124,7 +136,7 @@ def _emit(args, result) -> None:
     else:
         if isinstance(result, _Rows):
             result = [dict(zip(result.header, row)) for row in result.rows] if result.whole is None else result.whole
-        text = json.dumps(_jsonable(result), indent=2) + "\n"
+        text = _dumps(result) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -133,8 +145,7 @@ def _emit(args, result) -> None:
 
 def _dump_witness(args, failure: AssertionFailed) -> str:
     path = getattr(args, "witness", None) or "witness.json"
-    payload = {"error": str(failure), "witness": _jsonable(failure.witness)}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(_dumps({"error": str(failure), "witness": failure.witness}) + "\n")
     return path
 
 

@@ -52,21 +52,33 @@ def as_fraction(value: RationalLike) -> Fraction:
     Floats, decimals, bools and other strings raise ValueError; none is
     coerced.
     """
+    return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
+
+
+def _ratio(value: RationalLike) -> tuple[int, int]:
+    """The rational as_fraction reads, as a numerator over a positive denominator, reduced by one gcd."""
+    if isinstance(value, str) and (match := _RATIONAL.fullmatch(value)):
+        num, den = int(match[1]), int(match[2] or 1)
+        g = math.gcd(num, den)
+        return num // g, den // g
     if isinstance(value, Fraction):
-        return value
+        return value.numerator, value.denominator
     if type(value) is int:
-        return Fraction(value)
-    match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
-    if match is None:
-        raise ValueError(f"not a rational: {value!r}")
-    return Fraction(int(match[1]), int(match[2] or 1))
+        return value, 1
+    raise ValueError(f"not a rational: {value!r}")
+
+
+def _integral(coords: Iterable) -> bool:
+    """The one coordinate rule of a lattice point: every coordinate is an int, and not a bool."""
+    return all(type(c) is int for c in coords)
 
 
 def as_point(value: PointLike) -> Point:
-    """Coerce an int (dimension 1) or a sequence of ints to a lattice point."""
-    if isinstance(value, int):
-        return (value,)
-    return tuple(int(c) for c in value)
+    """Coerce an int (dimension 1) or a sequence of ints to a lattice point; a bool or a float raises ValueError."""
+    p = tuple(value) if hasattr(value, "__iter__") else (value,)
+    if _integral(p):
+        return p
+    raise ValueError(f"not a lattice point: {value!r}")
 
 
 def _point_in(value: PointLike, dim: int) -> Point:
@@ -94,6 +106,26 @@ def _canonical(dim: int, mass: dict[Point, int], den: int) -> "Dist":
     return Dist(dim, tuple(support), tuple(nums), den // g)
 
 
+def _from_ratios(entries: Iterable[tuple[Point, tuple[int, int]]]) -> "Dist":
+    # the two readers' one law rule: each (point, (num, den)) checked in turn, the numerators summed over the lcm
+    pairs, dim = [], None
+    for p, (num, den) in entries:
+        if num < 0:
+            raise NegativeMass(f"mass {Fraction(num, den)} at {p}")
+        if dim is None:
+            dim = len(p)
+        elif len(p) != dim:
+            raise DimensionMismatch(f"point {p} has dim {len(p)}, expected {dim}")
+        pairs.append((p, num, den))
+    if dim is None:
+        raise ValueError("no atoms given")
+    den = math.lcm(*{d for _, _, d in pairs})
+    mass: dict[Point, int] = {}
+    for p, num, d in pairs:
+        mass[p] = mass.get(p, 0) + num * (den // d)
+    return _canonical(dim, mass, den)
+
+
 @dataclass(frozen=True)
 class Dist:
     """A probability measure with finite support on the lattice Z^dim.
@@ -115,25 +147,7 @@ class Dist:
         NegativeMass, DimensionMismatch, or MassNotOne (with the exact
         deficit) when the input is not a probability distribution.
         """
-        pairs: list[tuple[Point, Fraction]] = []
-        dim = None
-        for pt, m in entries:
-            p = as_point(pt)
-            q = as_fraction(m)
-            if q.numerator < 0:
-                raise NegativeMass(f"mass {q} at {p}")
-            if dim is None:
-                dim = len(p)
-            elif len(p) != dim:
-                raise DimensionMismatch(f"point {p} has dim {len(p)}, expected {dim}")
-            pairs.append((p, q))
-        if dim is None:
-            raise ValueError("no atoms given")
-        den = math.lcm(*{q.denominator for _, q in pairs})
-        mass: dict[Point, int] = {}
-        for p, q in pairs:
-            mass[p] = mass.get(p, 0) + q.numerator * (den // q.denominator)
-        return _canonical(dim, mass, den)
+        return _from_ratios((as_point(pt), _ratio(m)) for pt, m in entries)
 
     # -- queries -------------------------------------------------------
 
@@ -250,13 +264,13 @@ class Dist:
 
     # -- serialization -------------------------------------------------
 
+    def _mass_texts(self) -> list[str]:
+        """Each mass as format_fraction writes it, reduced by one gcd of integers."""
+        den = self.den
+        return [f"{m // (g := math.gcd(m, den))}/{den // g}" for m in self.nums]
+
     def to_json_obj(self) -> dict:
-        # each mass reduced by one gcd of integers, written as format_fraction writes it
-        atoms, den = [], self.den
-        for p, m in zip(self.support, self.nums):
-            g = math.gcd(m, den)
-            atoms.append([list(p), f"{m // g}/{den // g}"])
-        return {"dim": self.dim, "atoms": atoms}
+        return {"dim": self.dim, "atoms": [[list(p), q] for p, q in zip(self.support, self._mass_texts())]}
 
     @staticmethod
     def from_json_obj(obj: dict) -> "Dist":
@@ -266,11 +280,10 @@ class Dist:
             raise ValueError('a law is a JSON object {"dim": d, "atoms": [[point, mass], ...]}')
         entries = []
         for atom in obj["atoms"]:
-            if not (isinstance(atom, list) and len(atom) == 2 and isinstance(atom[0], list)
-                    and all(type(c) is int for c in atom[0])):
+            if not (isinstance(atom, list) and len(atom) == 2 and isinstance(atom[0], list) and _integral(atom[0])):
                 raise ValueError(f"an atom is [[c1, ..., cd], mass] with integer coordinates, got {atom!r}")
-            entries.append((atom[0], as_fraction(atom[1])))
-        dist = Dist.from_entries(entries)
+            entries.append((tuple(atom[0]), _ratio(atom[1])))
+        dist = _from_ratios(entries)
         if dist.dim != obj["dim"]:
             raise DimensionMismatch(f"declared dim {obj['dim']} but atoms have dim {dist.dim}")
         return dist

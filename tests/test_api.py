@@ -123,6 +123,14 @@ def test_only_dist_sums_given_laws():
     assert "def _sum_atoms" in sources["dist"] and "_atom_count" not in sources["search"]
 
 
+def test_one_json_writer_and_no_indenting_encoder():
+    # every JSON text the CLI writes comes from cli._dumps, which renders the indented layout itself; json.dumps with an
+    # indent would take the pure-Python encoder
+    sources = {path.stem: path.read_text() for path in Path(anticonc.__file__).parent.glob("*.py")}
+    assert [name for name, source in sources.items() if "indent=" in source] == []
+    assert [name for name, source in sources.items() if "def _dumps(" in source] == ["cli"]
+
+
 @pytest.mark.parametrize("call, validator", [
     (lambda: binomial(-1, F(1, 3)), lambda: _require_at_least("n", -1, 0)),
     (lambda: alternating_bernoulli(0, F(1, 3)), lambda: _require_at_least("n", 0, 1)),

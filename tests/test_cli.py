@@ -8,13 +8,17 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import fields, is_dataclass
 from fractions import Fraction as F
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
-from anticonc import Dist, bernoulli, cli, delta, extreme_decompose, uniform_on
+from anticonc import CenteredSeq, Dist, Extremal, Mixture, bernoulli, cli, delta, extreme_decompose, uniform_on
 from anticonc.cli import _dump_witness, build_parser, main
+from anticonc.dist import format_fraction
 from anticonc.errors import AssertionFailed
 
 
@@ -182,7 +186,7 @@ class TestDecompose:
 
     def test_a_law_inside_a_result_is_written_canonically(self):
         result = extreme_decompose(Dist.from_entries([(0, "1/2"), (1, "3/10"), (2, "1/5")]), F(1, 2))
-        assert cli._jsonable(result)["mu1"] == result.mu1.to_json_obj()
+        assert json.loads(cli._dumps(result))["mu1"] == result.mu1.to_json_obj()
 
 
 class TestAsymCommands:
@@ -657,7 +661,7 @@ def test_trial_witness_can_be_replayed(tmp_path, capsys, monkeypatch, sub, check
     # the first draw from the recorded seed regenerates the recorded instance
     instance = cli.CHECKS[sub].draw(build_parser().parse_args(argv), random.Random(payload["seed"]))
     assert sorted(instance) == sorted(instance_keys)
-    assert {key: payload[key] for key in instance_keys} == cli._jsonable(instance)
+    assert {key: payload[key] for key in instance_keys} == json.loads(cli._dumps(instance))
 
 
 @pytest.mark.parametrize("sub, flags, checker", [
@@ -720,3 +724,61 @@ def test_module_entry_point(capsys):
     bad = module("family", "binom", "--n", "-1", "--p", "1/3")
     assert bad.returncode == 1
     assert "error:" in bad.stderr
+
+
+# -- the JSON writer against json.dumps of the nested form it replaced ----------
+
+
+def jsonable(value):
+    """The reference: the nested lists, dicts and strings json.dumps(..., indent=2) wrote a result from."""
+    if isinstance(value, F):
+        return format_fraction(value)
+    if isinstance(value, Dist):
+        return value.to_json_obj()
+    if isinstance(value, CenteredSeq):
+        return [format_fraction(v) for v in value.values]
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: jsonable(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    return value
+
+
+@st.composite
+def written_laws(draw):
+    """Laws in dims 1-3 on points with negative coordinates, from one atom up, with numerators of a few bits or of
+    1,000 and more."""
+    dim = draw(st.integers(1, 3))
+    points = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * dim), min_size=1, max_size=4, unique=True))
+    weights = [draw(st.one_of(st.integers(1, 9), st.integers(2**1000, 2**1100))) for _ in points]
+    return Dist.from_entries(zip(points, [F(w, sum(weights)) for w in weights]))
+
+
+points = st.lists(st.integers(-5, 5), min_size=1, max_size=3).map(tuple)
+results = st.recursive(
+    st.one_of(
+        written_laws(),
+        st.fractions(),
+        st.lists(st.fractions(min_value=0), min_size=1, max_size=7).filter(lambda v: len(v) % 2).map(
+            CenteredSeq.from_values),
+        st.builds(Extremal, st.lists(points, max_size=3).map(tuple), st.one_of(st.none(), points)),
+        st.builds(Mixture, st.fractions(0, 1), written_laws(), written_laws()),
+        st.just(Dist.from_entries([((), 1)])),
+        st.none(), st.booleans(), st.integers(), st.floats(), st.sampled_from([math.inf, -math.inf]),
+        st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f'), st.characters())),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.integers(-3, 3)), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@given(results)
+def test_the_writer_matches_json_dumps_of_the_nested_form(value):
+    assert cli._dumps(value) == json.dumps(jsonable(value), indent=2)
+    assert cli._dumps({"error": "a \"quoted\" \\ witness", "witness": value}) == json.dumps(
+        {"error": "a \"quoted\" \\ witness", "witness": jsonable(value)}, indent=2)

@@ -1,10 +1,11 @@
 import json
 import math
+import re
 from fractions import Fraction as F
 from functools import reduce
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from anticonc import (
@@ -17,7 +18,7 @@ from anticonc import (
     weighted_sum,
 )
 from anticonc import errors
-from anticonc.dist import _alternating_zero, _sum_atoms, as_fraction, as_point
+from anticonc.dist import _alternating_zero, _sum_atoms, as_point
 from anticonc.errors import DimensionMismatch, MassNotOne, NegativeMass, TooLarge, ZeroWeight
 
 from conftest import brute_weighted_law, dists, fraction_convolve
@@ -341,15 +342,36 @@ def test_stored_form_is_reduced_and_unique(d, k):
         assert (other.support, other.nums, other.den) == (d.support, d.nums, d.den)
 
 
-# -- from_entries against the Fraction-summing construction it replaced ------
+# -- the readers against the Fraction-summing construction they replaced ------
+
+
+def reference_point(value):
+    """A lattice point by the one coordinate rule: an int, or a list or tuple of ints; no bool or float."""
+    p = tuple(value) if isinstance(value, (list, tuple)) else (value,)
+    if not all(type(c) is int for c in p):
+        raise ValueError(f"not a lattice point: {value!r}")
+    return p
+
+
+def reference_fraction(value):
+    """A mass as Fraction reads it: a Fraction, an int that is not a bool, or [-]digits[/digits] with a nonzero
+    denominator."""
+    if isinstance(value, F):
+        return value
+    if type(value) is int:
+        return F(value)
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?", value):
+        return F(value)
+    raise ValueError(f"not a rational: {value!r}")
 
 
 def fraction_from_entries(entries):
     """The reference: sum the masses of each point as Fractions, then drop the
-    nulls and sort; the same checks in the same order, and the deficit 1 - total."""
+    nulls and sort; the same checks in the same order, atom by atom, and the
+    deficit 1 - total."""
     mass, dim = {}, None
     for pt, m in entries:
-        p, q = as_point(pt), as_fraction(m)
+        p, q = reference_point(pt), reference_fraction(m)
         if q < 0:
             raise NegativeMass(f"mass {q} at {p}")
         if dim is None:
@@ -368,6 +390,23 @@ def fraction_from_entries(entries):
     return dim, atoms, text
 
 
+def fraction_from_json_obj(obj):
+    """The reference reader: the shape and the mass syntax of every atom first, then the checks of
+    fraction_from_entries, then the declared dimension."""
+    if not (isinstance(obj, dict) and type(obj.get("dim")) is int and isinstance(obj.get("atoms"), list)):
+        raise ValueError('a law is a JSON object {"dim": d, "atoms": [[point, mass], ...]}')
+    entries = []
+    for atom in obj["atoms"]:
+        if not (isinstance(atom, list) and len(atom) == 2 and isinstance(atom[0], list)
+                and all(type(c) is int for c in atom[0])):
+            raise ValueError(f"an atom is [[c1, ..., cd], mass] with integer coordinates, got {atom!r}")
+        entries.append((atom[0], reference_fraction(atom[1])))
+    dim, atoms, text = fraction_from_entries(entries)
+    if dim != obj["dim"]:
+        raise DimensionMismatch(f"declared dim {obj['dim']} but atoms have dim {dim}")
+    return dim, atoms, text
+
+
 def _outcome(build, entries):
     try:
         return build(entries)
@@ -375,12 +414,17 @@ def _outcome(build, entries):
         return type(e), str(e), getattr(e, "deficit", None)
 
 
+def _built(d):
+    return d.dim, d.atoms, d.to_json()
+
+
 @st.composite
 def entry_lists(draw):
     """(point, mass) pairs on few points, so duplicates are common: zero masses, each
     mass written as an unreduced string, a Fraction or an int, with denominators of
-    its own; then perhaps one fault, a negative mass, a point of the other dimension,
-    or a total other than 1."""
+    its own, a zero also as "-0/k"; then up to two faults, each a negative mass, a
+    point of the other dimension, a total other than 1, a mass that is no rational
+    or a coordinate that is no int."""
     dim = draw(st.integers(1, 2))
     count = draw(st.integers(1, 8))
     weights = [draw(st.integers(0, 6)) for _ in range(count)]
@@ -392,25 +436,72 @@ def entry_lists(draw):
         if dim == 1 and draw(st.booleans()):
             point = point[0]
         q, scale = F(w, total), draw(st.integers(1, 4))
-        mass = draw(st.sampled_from((f"{w * scale}/{total * scale}", q, str(q)) + ((int(q),) if q in (0, 1) else ())))
-        entries.append((point, mass))
-    fault = draw(st.sampled_from((None, "negative", "dim", "total")))
-    i = draw(st.integers(0, count - 1))
-    if fault == "negative":
-        entries[i] = (entries[i][0], f"-{weights[i] + 1}/{total}")
-    elif fault == "dim":
-        entries[i] = ((0,) * (3 - dim), entries[i][1])
-    elif fault == "total" and draw(st.booleans()):
-        entries.append((entries[i][0], F(draw(st.integers(1, 3)), 3 * total)))
-    elif fault == "total":
-        del entries[weights.index(max(weights))]
+        forms = (f"{w * scale}/{total * scale}", q, str(q)) + ((int(q),) if q in (0, 1) else ())
+        entries.append((point, draw(st.sampled_from(forms + ((f"-0/{scale}",) if w == 0 else ())))))
+    # the faults fall on one atom or on two, so either order, within an atom or between atoms, shows
+    faults, i = draw(st.lists(st.sampled_from(("negative", "dim", "total", "syntax", "coordinate")), max_size=2)), 0
+    for fault in faults:
+        if not entries:
+            break
+        i = min(i, len(entries) - 1) if draw(st.booleans()) else draw(st.integers(0, len(entries) - 1))
+        if fault == "negative":
+            entries[i] = (entries[i][0], f"-{draw(st.integers(1, 7))}/{total}")
+        elif fault == "dim":
+            entries[i] = ((0,) * (3 - dim), entries[i][1])
+        elif fault == "syntax":
+            bad = ("1/0", "0.5", 0.5, True, "1/-2", " 1/2", "+1/2", "1_0/2")
+            entries[i] = (entries[i][0], draw(st.sampled_from(bad)))
+        elif fault == "coordinate":
+            bad = (True, (True,) * dim, (0.5,) + (0,) * (dim - 1), [0] * (dim - 1) + [1.0])
+            entries[i] = (draw(st.sampled_from(bad)), entries[i][1])
+        elif draw(st.booleans()):
+            entries.append((entries[i][0], F(draw(st.integers(1, 3)), 3 * total)))
+        else:
+            del entries[i]
     return entries
 
 
 @given(entry_lists())
+@example([((0,), "1/2"), ((0, 0), "-1/2")])             # a sign and a dimension fault on one atom
+@example([((0,), "1/2"), ((1,), "1/0"), ((0, 0), "-1/2")])
+@example([((0,), "1/2"), ((1,), "-1/2"), ([0.5], "x")])
 def test_from_entries_matches_the_fraction_reference(entries):
-    def build(entries):
-        d = Dist.from_entries(entries)
-        return d.dim, d.atoms, d.to_json()
+    assert _outcome(lambda e: _built(Dist.from_entries(e)), entries) == _outcome(fraction_from_entries, entries)
 
-    assert _outcome(build, entries) == _outcome(fraction_from_entries, entries)
+
+@given(entry_lists(), st.data())
+def test_from_json_obj_matches_the_fraction_reference(entries, data):
+    # the same entries as JSON atoms, masses as strings or JSON integers, perhaps one atom of the wrong shape and a
+    # declared dimension of 1 or 2; the fault of the reference's order is the one reported
+    atoms = [[list(p) if isinstance(p, (tuple, list)) else [p], m if isinstance(m, (str, int, float)) else str(m)]
+             for p, m in entries]
+    if atoms and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(atoms) - 1))
+        atoms[i] = data.draw(st.sampled_from((atoms[i][:1], atoms[i] + [0], atoms[i][0], {"point": atoms[i][0]})))
+    obj = json.loads(json.dumps({"dim": data.draw(st.integers(1, 2)), "atoms": atoms}))
+    assert _outcome(lambda o: _built(Dist.from_json_obj(o)), obj) == _outcome(fraction_from_json_obj, obj)
+
+
+@pytest.mark.parametrize("entries", [
+    [(True, "1")],
+    [((True,), "1/2"), ((1,), "1/2")],
+    [([0.7], "1/2"), ([0], "1/2")],
+    [((0, False), "1")],
+    [(0.0, "1")],
+])
+def test_a_coordinate_is_an_int_and_not_a_bool_or_a_float(entries):
+    with pytest.raises(ValueError, match="^not a lattice point: "):
+        Dist.from_entries(entries)
+    with pytest.raises(ValueError, match="^not a lattice point: "):
+        as_point(entries[0][0])
+    assert as_point(1) == as_point([1]) == (1,) and as_point((0, -2)) == (0, -2)
+
+
+def test_a_bool_point_neither_equals_nor_serializes_as_an_int_point():
+    with pytest.raises(ValueError, match="^not a lattice point: True$"):
+        delta(True)
+    with pytest.raises(ValueError, match="integer coordinates"):
+        Dist.from_json('{"dim":1,"atoms":[[[true],"1/1"]]}')
+    assert delta(1).to_json() == '{"dim":1,"atoms":[[[1],"1/1"]]}'
+    with pytest.raises(ValueError, match="^not a lattice point: "):
+        bernoulli(F(1, 2)).atom(True)
