@@ -756,14 +756,14 @@ def written_laws(draw):
     return Dist.from_entries(zip(points, [F(w, sum(weights)) for w in weights]))
 
 
-points = st.lists(st.integers(-5, 5), min_size=1, max_size=3).map(tuple)
-results = st.recursive(
+lattice_points = st.lists(st.integers(-5, 5), min_size=1, max_size=3).map(tuple)
+written_results = st.recursive(
     st.one_of(
         written_laws(),
         st.fractions(),
         st.lists(st.fractions(min_value=0), min_size=1, max_size=7).filter(lambda v: len(v) % 2).map(
             CenteredSeq.from_values),
-        st.builds(Extremal, st.lists(points, max_size=3).map(tuple), st.one_of(st.none(), points)),
+        st.builds(Extremal, st.lists(lattice_points, max_size=3).map(tuple), st.one_of(st.none(), lattice_points)),
         st.builds(Mixture, st.fractions(0, 1), written_laws(), written_laws()),
         st.just(Dist.from_entries([((), 1)])),
         st.none(), st.booleans(), st.integers(), st.floats(), st.sampled_from([math.inf, -math.inf]),
@@ -777,7 +777,7 @@ results = st.recursive(
 )
 
 
-@given(results)
+@given(written_results)
 def test_the_writer_matches_json_dumps_of_the_nested_form(value):
     assert cli._dumps(value) == json.dumps(jsonable(value), indent=2)
     assert cli._dumps({"error": "a \"quoted\" \\ witness", "witness": value}) == json.dumps(
