@@ -21,8 +21,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .errors import (DimensionMismatch, MassNotOne, NegativeMass, ZeroWeight, _fits, _product, _require_at_least,
-                     _require_common_dim, _require_digits, _require_plan, _require_within)
+from .errors import (DimensionMismatch, MassNotOne, NegativeMass, ZeroWeight, _fits, _lookups, _product,
+                     _require_at_least, _require_common_dim, _require_digits, _require_plan, _require_within)
 
 __all__ = [
     "Dist",
@@ -344,25 +344,29 @@ def _sum_atoms(groups: Iterable[tuple[Dist, int, int]]) -> Iterator[int]:
         yield min(multisets, math.prod([width // (g or 1) + 1 for width, g in box.values()]))
 
 
-def _fold(what: str, groups: Sequence[tuple[Dist, int, int]]) -> Iterator[int]:
+def _fold(what: str, groups: Sequence[tuple[Dist, int, int]], hit: bool = False) -> Iterator[int]:
     """Steps of each product of the left fold of groups (law X, weight w, count m), each the law of m iid copies of
     w X formed beforehand, of numerators of m times X's bits: the sum of the first i groups, refused above MAX_ATOMS,
     has the i-th count of `_sum_atoms`, equal laws as one, and group i alone its first.  No law formed and no
     product's atom pairs exceed the product P of the groups' multisets C(m + |X| - 1, m), so when P and the fold's
-    products priced at P atoms of all the bits fit the caps, that one price stands and nothing is counted."""
+    products priced at P atoms of all the bits fit the caps, that one price stands and nothing is counted.  With
+    `hit` the last group is read at one point, not summed: a hit on the sum before it, always counted."""
     bound, total = 1, 0
     for x, _, m in groups:
         bound, total = bound * math.comb(m + len(x.support) - 1, m), total + m * (x.den - 1).bit_length()
-    if _fits(bound, crude := (len(groups) - 1) * _product(bound, 1, total, total)):
+    if not hit and _fits(bound, crude := (len(groups) - 1) * _product(bound, 1, total, total)):
         yield crude
         return
     atoms, before, equal = 1, 0, {}
     groups = [(equal.setdefault(x, x), w, m) for x, w, m in groups]
     for i, ((x, w, m), summed) in enumerate(zip(groups, _sum_atoms(groups))):
-        if i:
+        bits = m * (x.den - 1).bit_length()
+        if hit and i == len(groups) - 1:
+            yield _lookups(atoms, next(_sum_atoms([(x, w, m)])), before, bits)
+        elif i:
             _require_within(what, summed, "atoms")
-            yield _product(atoms, next(_sum_atoms([(x, w, m)])), before, m * (x.den - 1).bit_length())
-        atoms, before = summed, before + m * (x.den - 1).bit_length()
+            yield _product(atoms, next(_sum_atoms([(x, w, m)])), before, bits)
+        atoms, before = summed, before + bits
 
 
 def self_convolve(dist: Dist, n: int) -> Dist:

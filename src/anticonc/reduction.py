@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .dist import (Dist, Point, PointLike, RationalLike, _alternating_zero, _canonical, _hit, as_fraction, as_point,
+from .dist import (Dist, Point, PointLike, RationalLike, _alternating_zero, _canonical, _hit, _point_in, as_fraction,
                    convolve_all)
 from .errors import (AssertionFailed, NegativeMass, QTooLarge, _require_alpha, _require_common_dim, _require_even,
                      require_bound)
@@ -86,8 +86,7 @@ def balancing_bound(dists: Sequence[Dist], x: PointLike) -> BalancingBound:
     """
     n = len(dists)
     _require_even(n)
-    _require_common_dim(dists, "distribution")
-    target = as_point(x)
+    target = _point_in(x, _require_common_dim(dists, "distribution"))
     laws = list(dict.fromkeys(dists))     # one zero mass per distinct law, all priced before the hit is formed
     zero_mass = dict(zip(laws, _alternating_zero(laws, n)))
     lhs = _hit(dists, target)

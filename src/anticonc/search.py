@@ -15,11 +15,12 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Sequence
 
-from .dist import Dist, Point, PointLike, RationalLike, _hit, _prefix_sums, _sum_atoms, as_fraction, as_point, delta
+from .dist import (Dist, Point, PointLike, RationalLike, _fold, _hit, _point_in, _prefix_sums, as_fraction, as_point,
+                   delta)
 from .asymptotics import local_limit_exact
-from .errors import (AssertionFailed, EvenN, ParamOutOfRange, QTooLarge, ZeroWeight, _lookups, _product,
-                     _require_alpha, _require_at_least, _require_common_dim, _require_digits, _require_even, _require_p,
-                     _require_plan, _require_within, _updates, require_bound)
+from .errors import (AssertionFailed, EvenN, ParamOutOfRange, QTooLarge, ZeroWeight, _require_alpha, _require_at_least,
+                     _require_common_dim, _require_digits, _require_even, _require_p, _require_plan, _require_within,
+                     _updates, require_bound)
 from .families import _binomial_nums
 
 __all__ = [
@@ -178,6 +179,8 @@ def sign_vector_max(dist: Dist, n: int, x: PointLike | None = None) -> tuple[Fra
     the reported witness is the lexicographically smallest maximizer.
     """
     _require_at_least("n", n, 1)
+    if x is not None:
+        x = _point_in(x, dist.dim)
     last = n if x is not None else n // 2
     powers = _powers(f"{last + 1} sign laws of {n} summands", dist, n, _sign_laws(n, last), x)
     value, j, _ = _best(powers, _sign_laws(n, last), x)
@@ -203,24 +206,13 @@ def _best(powers: list[Dist], laws: Iterable[list[tuple[int, int]]], x: PointLik
 
 def _powers(what: str, dist: Dist, n: int, laws: Iterable[list[tuple[int, int]]], x: PointLike | None) -> list[Dist]:
     """P_0..P_n, P_m the law of m iid copies of `dist`, by the chain P_(m + 1) = P_m * dist, for a search that forms
-    `laws` from them: its values (dividing den^n) must print, and its plan, the chain with its 40 steps per convolution
-    summed at once, then each law's fold in `_best` or its hit at x, must fit the budget.  A law of runs (w, m) has the
-    `_sum_atoms` of its groups (dist, w, m), and M summands have numerators of M log2(den) bits at most."""
+    `laws` from them: its values (dividing den^n) must print, and one plan must fit the caps: the chain's 40 steps per
+    convolution summed at once, then the chain as the fold of n groups (dist, 1, 1) and each law of runs (w, m) as the
+    fold of its groups (dist, w, m), the last read at x when there is one."""
     _require_digits(n, n * math.log10(dist.den))
-    _require_plan(what, [40 * (n - 1)])    # the chain's fixed steps alone, before the powers' atoms are counted
-    bits, atoms = (dist.den - 1).bit_length(), [1, *itertools.islice(_sum_atoms(itertools.repeat((dist, 1, 1))), n)]
-
-    def law(runs: list[tuple[int, int]]) -> int:
-        # at x a sign law (at most two runs) is one hit: its head is the first run of two, or a point mass; heads[i]
-        # counts the atoms of runs[:i], and each product adds a run, P_m scaled, of atoms[m] atoms
-        heads = [1, *itertools.islice(_sum_atoms([(dist, w, m) for w, m in runs]), len(runs) - 1)]
-        sizes = [m * bits for _, m in runs]
-        if x is not None:
-            return _lookups(heads[-1], atoms[runs[-1][1]], sum(sizes[:-1]), sizes[-1])
-        return sum([_product(heads[i], atoms[runs[i][1]], sum(sizes[:i]), sizes[i]) for i in range(1, len(runs))])
-
-    chain = (_product(atoms[m], len(dist.support), m * bits, bits) - 40 for m in range(1, n))
-    _require_plan(what, itertools.chain([40 * (n - 1)], chain, map(law, laws)))
+    _require_plan(what, [40 * (n - 1)])    # the chain's fixed steps alone, before a group is listed
+    folds = (_fold(what, [(dist, w, m) for w, m in runs], x is not None) for runs in laws)
+    _require_plan(what, itertools.chain(_fold(what, [(dist, 1, 1)] * n), itertools.chain.from_iterable(folds)))
     return [delta((0,) * dist.dim), *itertools.accumulate([dist] * (n - 1), Dist.convolve, initial=dist)]
 
 

@@ -115,12 +115,14 @@ def test_cap_constants_are_pinned_and_checked_by_one_gate():
 
 
 def test_only_dist_sums_given_laws():
-    # every sum of given laws is the gated fold of `dist`, which holds the one atom predictor of a sum; outside it the
-    # kernel is read only by the search's priced chain and folds
+    # every sum of given laws is the gated fold of `dist`, which holds the one atom predictor of a sum and is the only
+    # code that turns groups into prices; outside it the kernel is read only by the search's chain and laws, which
+    # `dist._fold` prices
     sources = {path.stem: path.read_text() for path in Path(anticonc.__file__).parent.glob("*.py")}
     assert [name for name, source in sources.items() if ".convolve(" in source] == ["dist"]
     assert sorted(name for name, source in sources.items() if "Dist.convolve" in source) == ["dist", "search"]
     assert "def _sum_atoms" in sources["dist"] and "_atom_count" not in sources["search"]
+    assert not [price for price in ("_product", "_lookups", "_sum_atoms") if price in sources["search"]]
 
 
 def test_one_json_writer_and_no_indenting_encoder():

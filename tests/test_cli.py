@@ -369,15 +369,15 @@ class TestScanCommands:
         assert payload["value"] == payload["sign_value"] == "7/27"
 
     def test_weights_on_a_spread_law_is_refused_by_its_predicted_atoms(self, tmp_path, capsys):
-        # 1,287 sorted tuples pass the tuple cap, but the laws of their 1,282 orbits keep this
-        # law's atoms apart, so the search would run about 7 s
+        # 792 sorted tuples pass the tuple cap, but the laws of their 787 orbits keep this
+        # law's atoms apart, so one of them would pass the atom cap
         spread = uniform_on([0, 1, 100, 10000])
         path = write_dists(tmp_path, "spread.json", spread)
         start = time.perf_counter()
-        code, _, err = run(capsys, "scan", "weights", "--in", path, "--n", "8", "--grid-values=1,2,3,5,7,11")
+        code, _, err = run(capsys, "scan", "weights", "--in", path, "--n", "7", "--grid-values=1,2,3,5,7,11")
         assert time.perf_counter() - start < 1
         assert code == 1
-        assert "predict 5001327 steps, above the cap 5000000" in err
+        assert err == "error: 787 weight orbits and 4 sign laws of 7 summands predict 5120 atoms, above the cap 4096\n"
 
 
 class TestErrorPaths:
@@ -563,6 +563,8 @@ WIDE_PEAKED = json.dumps([uniform_on(range(-r, r + 1)).to_json_obj() for r in (1
 WIDER_PEAKED = json.dumps([uniform_on(range(-r, r + 1)).to_json_obj() for r in (3000, 3000, 2000)])
 # one law on 0..99 and 255 point masses: the alternating bound forms the power of 128 copies of the first law
 SPREAD_BALANCING = json.dumps([uniform_on(range(100)).to_json_obj()] + [delta(0).to_json_obj()] * 255)
+# the largest such input whose alternating bound is admitted: 72 laws, the power of 36 copies of the first
+ADMITTED_BALANCING = json.dumps([uniform_on(range(100)).to_json_obj()] + [delta(0).to_json_obj()] * 71)
 # 40 laws uniform on i..i + 65: each power of 20 copies fits the caps alone, and all 40 share one plan
 MANY_BALANCING = json.dumps([uniform_on(range(i, i + 66)).to_json_obj() for i in range(40)])
 # 2,000 two-atom laws of denominators 2..2,001, whose product has 5,739 digits
@@ -632,7 +634,10 @@ def test_exact_values_are_refused_by_their_digits_before_they_print(capsys, admi
     (POINT, "scan signs --in {in} --n 1000000000",
      "500000001 sign laws of 1000000000 summands predict 39999999960 steps, above the cap 5000000"),
     (FAR, "check birnbaum --in {in} --k 0", "X is not unimodal"),
-], ids=["search-chain", "birnbaum-far-atoms"])
+    # a target of the wrong dimension, before the plan and the powers it would price and form
+    (PAIR, "scan signs --in {in} --n 760 --x 1,2", "point (1, 2) has dim 2, expected 1"),
+    (ADMITTED_BALANCING, "check balancing --in {in} --x 0,0", "point (0, 0) has dim 2, expected 1"),
+], ids=["search-chain", "birnbaum-far-atoms", "signs-target-dim", "balancing-target-dim"])
 def test_an_input_refused_before_any_work_is_refused_at_once(tmp_path, capsys, text, command, message):
     start = time.perf_counter()
     err = _run_malformed(tmp_path, capsys, text, command)

@@ -240,6 +240,27 @@ def counting_kernels(patch, steps):
     patch.setattr(search, "_next_split", updates(ladder, 0))
 
 
+def refused_below_largest_law(run, what):
+    # no search forms a law past MAX_ATOMS: with the cap one below the largest law its kernel forms, the search is
+    # refused by atoms, before the law is formed (a cap of 0 is no cap)
+    sizes, convolve = [], Dist.convolve
+
+    def counted(a, b):
+        out = convolve(a, b)
+        sizes.append(len(out.support))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Dist, "convolve", counted)
+        for cap in ("MAX_ATOMS", "MAX_WORK"):
+            patch.setattr(errors, cap, math.inf)
+        run()
+        if max(sizes, default=0) > 1:
+            patch.setattr(errors, "MAX_ATOMS", max(sizes) - 1)
+            with pytest.raises(TooLarge, match=f"{what} .* atoms"):
+                run()
+
+
 P = st.builds(lambda a, b: F(a, 2 * a + b), st.integers(1, 2**70), st.integers(0, 2**70))
 
 
@@ -278,9 +299,10 @@ class TestSignVectorMax:
         assert (value, signs) == (F(2, 3), (-1,))
 
     def test_cap(self):
-        # the cap is a prediction of work, not of n: 25 Bernoulli summands are cheap, 24 of 8 spread atoms are not
+        # the cap is a prediction of size and work, not of n: 25 Bernoulli summands are cheap, while 24 of 8 spread
+        # atoms form P_8 of C(15, 7) atoms on the way
         assert sign_vector_max(bernoulli(F(1, 2)), 25) == (F(1300075, 8388608), (-1,) * 25)
-        msg = "13 sign laws of 24 summands predict 5885393 steps, above the cap 5000000"
+        msg = "13 sign laws of 24 summands predict 6435 atoms, above the cap 4096"
         with pytest.raises(TooLarge, match=msg):
             sign_vector_max(uniform_on([0, 1, 7, 50, 333, 2000, 15000, 99999]), 24)
 
@@ -291,7 +313,8 @@ class TestSignVectorMax:
     @example((uniform_on([(0, 0), (1, 0), (0, 1), (3, 2)]), 6, (1, 1)), 2**400, F(1, 2**70 + 1))
     def test_sign_budget_never_undercounts(self, case, tilt, p):
         # a budget one below the steps counted through the kernels always refuses the search: the sign laws'
-        # convolutions and hits, and the ladder's coefficient updates at the same n
+        # convolutions and hits, and the ladder's coefficient updates at the same n; and a cap one below its
+        # largest law refuses the sign search by atoms
         law, n, x = case
         law = tilted(law, tilt)
         for run, what in ((lambda: sign_vector_max(law, n, x), "sign laws"),
@@ -304,6 +327,7 @@ class TestSignVectorMax:
                 patch.setattr(errors, "MAX_WORK", sum(steps) - 1)
                 with pytest.raises(TooLarge, match=what):
                     run()
+        refused_below_largest_law(lambda: sign_vector_max(law, n, x), "sign laws")
 
 
 class TestWeightGridSearch:
@@ -351,7 +375,8 @@ class TestWeightGridSearch:
     def test_atom_budget_never_undercounts(self, case, tilt):
         # the steps the plans predict are never fewer than those counted through the kernels: the weight orbits
         # and sign laws (the walk cap before them counts no convolution), and the two binomials of a signed
-        # difference at the same n with their product
+        # difference at the same n with their product; and a cap one below its largest law refuses the weight
+        # search by atoms
         law, n, grid = case
         law, p = tilted(law, tilt), F(1 + tilt % 5, 2 + 2 * (tilt % 5) + tilt % 7)
         for run, what in ((lambda: weight_grid_search(law, n, grid), "weight orbits"),
@@ -364,6 +389,7 @@ class TestWeightGridSearch:
                 run()
             plans = [count for name, count, unit in predicted if unit == "steps" and what in name]
             assert (plans[-1] if what else sum(plans)) >= sum(steps)
+        refused_below_largest_law(lambda: weight_grid_search(law, n, grid), "weight orbits")
 
 
 def reference_sign_vector_max(dist, n, x=None):
