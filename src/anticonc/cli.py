@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from . import asymptotics, sampling, search
-from .dist import Dist, as_fraction, convolve_all, format_fraction
+from .dist import _RATIONAL, Dist, as_fraction, convolve_all, format_fraction
 from .errors import AssertionFailed, _require_at_least
 from .families import alternating_bernoulli, binomial, quasi_uniform
 from .reduction import Extremal, balancing_bound, extreme_decompose
@@ -41,6 +41,10 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("type", int, _integer)    # a type=int flag reads _integer; its errors still say "invalid int"
+
     def error(self, message):
         raise UsageError(message)
 
@@ -48,9 +52,17 @@ class _Parser(argparse.ArgumentParser):
 # -- input parsing ----------------------------------------------------------
 
 
+def _integer(text: str) -> int:
+    """An integer as the rationals' grammar writes a numerator: [-]digits, ASCII, nothing around them."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None or match[2] is not None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_point(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(c) for c in text.split(","))
+        return tuple([_integer(c) for c in text.split(",")])
     except ValueError as exc:
         raise UsageError(f"not a lattice point: {text!r}") from exc
 
@@ -58,8 +70,14 @@ def _parse_point(text: str) -> tuple[int, ...]:
 def _load_json(path: str):
     try:
         return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _exactly(k: int, noun: str, items: list) -> list:
+    if len(items) != k:
+        raise UsageError(f"need exactly {k} {noun}, got {len(items)}")
+    return items
 
 
 def _load_dists(path: str) -> list[Dist]:
@@ -68,8 +86,7 @@ def _load_dists(path: str) -> list[Dist]:
 
 
 def _load_dist(path: str) -> Dist:
-    (dist,) = _load_dists(path)
-    return dist
+    return _exactly(1, "distribution", _load_dists(path))[0]
 
 
 def _load_seqs(path: str) -> list[CenteredSeq]:
@@ -84,8 +101,7 @@ def _seq(args) -> CenteredSeq:
         raise UsageError("give --values or --in" + ("" if args.values is None else ", not both"))
     if args.values is not None:
         return CenteredSeq.from_values(args.values.split(","))
-    (seq,) = _load_seqs(args.infile)
-    return seq
+    return _exactly(1, "sequence", _load_seqs(args.infile))[0]
 
 
 # -- output -----------------------------------------------------------------
@@ -191,10 +207,7 @@ def _draw_birnbaum(args, rng: random.Random) -> dict:
 
 
 def _fixed_birnbaum(args) -> dict:
-    dists = _load_dists(args.infile)
-    if len(dists) != 3:
-        raise UsageError(f"need exactly 3 distributions (X, Y, Y'), got {len(dists)}")
-    return _sides(birnbaum_sides(*dists, args.k))
+    return _sides(birnbaum_sides(*_exactly(3, "distributions (X, Y, Y')", _load_dists(args.infile)), args.k))
 
 
 def _draw_balancing(args, rng: random.Random) -> dict:

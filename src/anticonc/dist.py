@@ -22,7 +22,8 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import (DimensionMismatch, MassNotOne, NegativeMass, ZeroWeight, _fits, _lookups, _product,
-                     _require_at_least, _require_common_dim, _require_digits, _require_plan, _require_within)
+                     _require_at_least, _require_common_dim, _require_digits, _require_line, _require_plan,
+                     _require_within)
 
 __all__ = [
     "Dist",
@@ -180,8 +181,7 @@ class Dist:
 
     def interval_prob(self, k: int) -> Fraction:
         """P(|X| <= k) for a one-dimensional distribution."""
-        if self.dim != 1:
-            raise DimensionMismatch("interval probabilities need dimension 1")
+        _require_line("interval probabilities", self)
         _require_at_least("k", k, 0)
         return Fraction(sum([m for (x,), m in zip(self.support, self.nums) if -k <= x <= k]), self.den)
 
@@ -195,15 +195,13 @@ class Dist:
         Interior lattice points with zero mass count as zeros, so a gap
         between two massive points breaks unimodality.
         """
-        if self.dim != 1:
-            raise DimensionMismatch("unimodality is defined here for dimension 1")
+        _require_line("unimodality checks", self)
         top = self.nums.index(max(self.nums))
         no_gap = self.support[-1][0] - self.support[0][0] == len(self.nums) - 1
         return no_gap and list(self.nums) == sorted(self.nums[:top]) + sorted(self.nums[top:], reverse=True)
 
     def mean(self) -> Fraction:
-        if self.dim != 1:
-            raise DimensionMismatch("moments are defined here for dimension 1")
+        _require_line("moments", self)
         return sum((m * x for (x,), m in self.atoms), start=Fraction(0))
 
     def variance(self) -> Fraction:
@@ -216,9 +214,7 @@ class Dist:
         """Pushforward along a point map into the same dimension; colliding images merge."""
         mass: dict[Point, int] = {}
         for p, m in zip(self.support, self.nums):
-            q = as_point(fn(p))
-            if len(q) != self.dim:
-                raise DimensionMismatch(f"image point {q} has dim {len(q)}, expected {self.dim}")
+            q = _point_in(fn(p), self.dim)
             mass[q] = mass.get(q, 0) + m
         return _canonical(self.dim, mass, self.den)
 
@@ -228,9 +224,7 @@ class Dist:
 
     def shift(self, v: PointLike) -> "Dist":
         """Law of X + v."""
-        w = as_point(v)
-        if len(w) != self.dim:
-            raise DimensionMismatch(f"shift {w} has dim {len(w)}, expected {self.dim}")
+        w = _point_in(v, self.dim)
         return self.map_points(lambda p: tuple(c + d for c, d in zip(p, w)))
 
     def scale(self, c: int) -> "Dist":
@@ -241,8 +235,7 @@ class Dist:
 
     def convolve(self, other: "Dist") -> "Dist":
         """Law of X + Y for independent X ~ self, Y ~ other."""
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"cannot convolve dim {self.dim} with dim {other.dim}")
+        _require_common_dim((self, other), "distribution")
         # Each point becomes one int in balanced base `radix`, first coordinate
         # most significant; the radix leaves room for every coordinate of a
         # sum, so adding two keys adds the points without carries, and key
@@ -399,6 +392,7 @@ def _hit(dists: Sequence[Dist], x: PointLike) -> Fraction:
     last convolution would cost |head| * |last| products."""
     dim = _require_common_dim(dists, "distribution")
     target = _point_in(x, dim)
+    _require_digits(len(dists), sum([math.log10(d.den) for d in dists]))
     *rest, last = dists
     head = convolve_all(rest) if rest else delta((0,) * dim)
     get = last._mass.get
@@ -410,7 +404,9 @@ def _alternating_zero(laws: Sequence[Dist], n: int) -> list[Fraction]:
     """P(Y_1 - Y_2 + Y_3 - ... = 0) for n iid copies of each law: the ceil(n/2) plus summands against the floor(n/2)
     minus summands, one hit at the origin.  With h = n // 2 the minus side is -S_h and the plus side S_h, times the
     law once more when n is odd, so no pair law and no full power is formed; at even n this is the sum of the squared
-    atoms of S_h.  The powers of all the laws, odd products included, are priced in one plan before the first."""
+    atoms of S_h.  The powers of all the laws, odd products included, are priced in one plan before the first, and
+    each law's den^n, which its value divides, must print before that."""
+    _require_digits(n, n * math.log10(max([law.den for law in laws])))
     h, odd = n // 2, n % 2
     return [_hit([power[h + odd], power[h].negate()], (0,) * power[1].dim) for power in _power(laws, h, odd)]
 

@@ -193,6 +193,12 @@ def _require_common_dim(dists, noun):
     if not dists:
         raise ValueError(f"need at least one {noun}")
     dim = dists[0].dim
-    if any(d.dim != dim for d in dists):
-        raise DimensionMismatch(f"{noun}s must share one dimension")
+    for d in dists:
+        if d.dim != dim:
+            raise DimensionMismatch(f"{noun}s must share one dimension")
     return dim
+
+
+def _require_line(what, *dists):
+    if any(d.dim != 1 for d in dists):
+        raise DimensionMismatch(f"{what} need dimension 1")

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .dist import Dist, RationalLike, _canonical, _hit, as_fraction, convolve_all
-from .errors import DimensionMismatch, NotSymmetrizable, PreconditionViolated, require_bound
+from .errors import NotSymmetrizable, PreconditionViolated, _require_line, require_bound
 
 __all__ = [
     "CenteredSeq",
@@ -133,8 +133,7 @@ def _first_gap(a: Dist, b: Dist, otherwise: int | None = None) -> int | None:
 
 def peakedness_dominates(mu: Dist, nu: Dist) -> bool:
     """True when P(|Y'| <= k) >= P(|Y| <= k) for all k, Y ~ mu, Y' ~ nu."""
-    if mu.dim != 1 or nu.dim != 1:
-        raise DimensionMismatch("peakedness comparisons need dimension 1")
+    _require_line("peakedness comparisons", mu, nu)
     return _first_gap(mu, nu) is None
 
 
@@ -146,8 +145,7 @@ def birnbaum_sides(mu_x: Dist, mu_y: Dist, mu_yp: Dist, k: int) -> tuple[Fractio
     PreconditionViolated naming the hypothesis that fails, and
     AssertionFailed, its witness k the smallest r where the inequality does.
     """
-    if any(d.dim != 1 for d in (mu_x, mu_y, mu_yp)):
-        raise DimensionMismatch("peakedness comparisons need dimension 1")
+    _require_line("peakedness comparisons", mu_x, mu_y, mu_yp)
     for name, d in (("X", mu_x), ("Y", mu_y), ("Y'", mu_yp)):
         if not d.is_symmetric():
             raise PreconditionViolated(f"{name} is not symmetric about 0")

@@ -2,9 +2,10 @@
 
 The optional parameters of the public callables are pinned too, so a new
 knob has to be listed here; so are the names of the work caps.  Each
-parameter domain has one validator whose message every guard of that
-domain shares.  The guards that only a direct call reaches are checked for
-their exception type and message.
+parameter domain, the dimensions of points and laws included, has one
+validator whose type and message every guard of that domain shares.  The
+guards that only a direct call reaches are checked for their exception
+type and message.
 
 `perfbench/tracing.py` wraps every public function of every anticonc module
 and the `Dist` methods it names, and sorts each span into a per-layer group.
@@ -24,11 +25,12 @@ import pytest
 
 import anticonc
 from anticonc import (Dist, alternating_bernoulli, bernoulli, binomial, birnbaum_sides, convolve_all,
-                      default_p_grid, k_phase_scan, peakedness_dominates, self_convolve, uniform_on,
+                      default_p_grid, delta, k_phase_scan, peakedness_dominates, self_convolve, uniform_on,
                       weight_grid_search)
 from anticonc import sampling
-from anticonc.errors import (AssertionFailed, DimensionMismatch, ParamOutOfRange, _require_at_least, _require_p,
-                             require_bound)
+from anticonc.dist import _point_in
+from anticonc.errors import (AssertionFailed, ParamOutOfRange, _require_at_least, _require_common_dim, _require_line,
+                             _require_p, require_bound)
 
 PUBLIC = [
     "AgmStep", "BalancingBound", "CenteredSeq", "Dist", "Extremal", "GridSearchResult", "KScanResult", "Mixture",
@@ -125,12 +127,23 @@ def test_only_dist_sums_given_laws():
     assert not [price for price in ("_product", "_lookups", "_sum_atoms") if price in sources["search"]]
 
 
+def test_dimension_faults_are_raised_by_their_validators():
+    # a point against a law, laws against each other, and dimension 1; besides these only the JSON readers raise it,
+    # checking a law's atoms against each other (in the point validator's words) and against the declared dim
+    sources = {path.stem: path.read_text() for path in Path(anticonc.__file__).parent.glob("*.py")}
+    sites = {name: source.count("raise DimensionMismatch") for name, source in sources.items()}
+    assert {name: count for name, count in sites.items() if count} == {"dist": 3, "errors": 2}
+
+
 def test_one_json_writer_and_no_indenting_encoder():
     # every JSON text the CLI writes comes from cli._dumps, which renders the indented layout itself; json.dumps with an
     # indent would take the pure-Python encoder
     sources = {path.stem: path.read_text() for path in Path(anticonc.__file__).parent.glob("*.py")}
     assert [name for name, source in sources.items() if "indent=" in source] == []
     assert [name for name, source in sources.items() if "def _dumps(" in source] == ["cli"]
+
+
+PLANE = Dist.from_entries([((0, 0), F(1, 2)), ((1, 1), F(1, 2))])
 
 
 @pytest.mark.parametrize("call, validator", [
@@ -140,32 +153,34 @@ def test_one_json_writer_and_no_indenting_encoder():
     (lambda: self_convolve(bernoulli(F(1, 3)), -1), lambda: _require_at_least("n", -1, 0)),
     (lambda: bernoulli(F(1, 3)).interval_prob(-1), lambda: _require_at_least("k", -1, 0)),
     (lambda: k_phase_scan(3, [F(1, 4), F(3, 5)]), lambda: _require_p(F(3, 5))),
-], ids=["binomial", "alternating_bernoulli", "default_p_grid", "self_convolve", "interval_prob", "k_phase_scan"])
+    (lambda: PLANE.shift((1,)), lambda: _point_in((1,), 2)),
+    (lambda: PLANE.map_points(lambda p: p[:1]), lambda: _point_in((0,), 2)),
+    (lambda: PLANE.convolve(delta(0)), lambda: _require_common_dim([PLANE, delta(0)], "distribution")),
+    (lambda: PLANE.interval_prob(1), lambda: _require_line("interval probabilities", PLANE)),
+    (lambda: PLANE.is_unimodal(), lambda: _require_line("unimodality checks", PLANE)),
+    (lambda: PLANE.mean(), lambda: _require_line("moments", PLANE)),
+    (lambda: PLANE.variance(), lambda: _require_line("moments", PLANE)),
+    (lambda: peakedness_dominates(PLANE, PLANE), lambda: _require_line("peakedness comparisons", PLANE)),
+    (lambda: birnbaum_sides(PLANE, PLANE, PLANE, 1), lambda: _require_line("peakedness comparisons", PLANE)),
+], ids=["binomial", "alternating_bernoulli", "default_p_grid", "self_convolve", "interval_prob", "k_phase_scan",
+        "shift", "map_points", "convolve", "interval_prob_dim", "is_unimodal", "mean", "variance",
+        "peakedness_dominates", "birnbaum_sides"])
 def test_guards_share_their_domain_validator(call, validator):
-    with pytest.raises(ParamOutOfRange) as shared:
+    with pytest.raises(ValueError) as shared:
         validator()
-    with pytest.raises(ParamOutOfRange) as raised:
+    with pytest.raises(type(shared.value)) as raised:
         call()
+    assert type(raised.value) is type(shared.value)
     assert str(raised.value) == str(shared.value)
-
-
-PLANE = Dist.from_entries([((0, 0), F(1, 2)), ((1, 1), F(1, 2))])
 
 
 @pytest.mark.parametrize("call, kind, message", [
     (lambda: Dist.from_entries([]), ValueError, "no atoms given"),
     (lambda: uniform_on([]), ValueError, "no points given"),
     (lambda: convolve_all([]), ValueError, "need at least one distribution"),
-    (lambda: PLANE.interval_prob(1), DimensionMismatch, "interval probabilities need dimension 1"),
-    (lambda: PLANE.is_unimodal(), DimensionMismatch, "unimodality is defined here for dimension 1"),
-    (lambda: PLANE.mean(), DimensionMismatch, "moments are defined here for dimension 1"),
-    (lambda: PLANE.shift((1,)), DimensionMismatch, "shift (1,) has dim 1, expected 2"),
-    (lambda: peakedness_dominates(PLANE, PLANE), DimensionMismatch, "peakedness comparisons need dimension 1"),
-    (lambda: birnbaum_sides(PLANE, PLANE, PLANE, 1), DimensionMismatch, "peakedness comparisons need dimension 1"),
     (lambda: weight_grid_search(bernoulli(F(1, 2)), 2, []), ParamOutOfRange, "empty weight grid"),
     (lambda: require_bound("m", 2, 1, x=1), AssertionFailed, "m"),
-], ids=["from_entries", "uniform_on", "convolve_all", "interval_prob", "is_unimodal", "mean", "shift",
-        "peakedness_dominates", "birnbaum_sides", "weight_grid_search", "require_bound"])
+], ids=["from_entries", "uniform_on", "convolve_all", "weight_grid_search", "require_bound"])
 def test_guards_raise_their_type_and_message(call, kind, message):
     with pytest.raises(kind) as raised:
         call()

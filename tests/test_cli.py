@@ -5,6 +5,7 @@ import math
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -491,13 +492,36 @@ MALFORMED = [
     # --format is taken only by the commands that emit rows
     (None, "family binom --n 3 --p 1/3 --format csv"),
     ('{"dim":1,"atoms":[[[0],"1/2"],[[1],"1/2"]]}', "dist q --in {in} --format json"),
+    # an integer is [-]digits in ASCII, in a flag and in --x alike; int() would read each of these
+    (None, "asym tnzero --n +4 --p 1/2"),
+    (None, "asym tnzero --n 1_0 --p 1/2"),
+    (None, "asym tnzero --n ' 4' --p 1/2"),
+    (None, "asym tnzero --n ٤ --p 1/2"),
+    (None, "asym smalldev --n 4 --k +1 --p 1/3"),
+    (None, "asym largeodd --m 1_0 --p 1/3"),
+    (None, "scan kphase --n 3 --grid ' 4'"),
+    (None, "check monotone --trials ٤"),
+    (None, "check monotone --trials 1 --seed +0"),
+    (PAIR, "dist atom --in {in} --x +1"),
+    (PAIR, "dist atom --in {in} --x 1_0"),
+    (PAIR, "dist atom --in {in} --x ' 1'"),
+    (PAIR, "dist atom --in {in} --x ١"),
 ]
 
 # Rows whose guard the rows above never reach, each with its message, which
 # tells it from the error that follows if the guard is gone.
 GUARDED = [
     (PAIR, "dist atom --in {in} --x 1,a", "not a lattice point: '1,a'"),
+    (PAIR, "dist atom --in {in} --x ' +10'", "error: not a lattice point: ' +10'\n"),
+    (None, "asym tnzero --n ٤ --p 1/2", "error: argument --n: invalid int value: '٤'\n"),
     ("{", "dist q --in {in}", "invalid JSON"),
+    pytest.param("[" * 100000, "dist q --in {in}", "invalid JSON", id="nested-100000-deep"),
+    # a command of one law or one sequence reads a file that holds exactly one
+    ("[]", "dist q --in {in}", "error: need exactly 1 distribution, got 0\n"),
+    (f"[{PAIR},{PAIR}]", "dist q --in {in}", "error: need exactly 1 distribution, got 2\n"),
+    (f"[{PAIR},{PAIR}]", "scan signs --in {in} --n 2", "error: need exactly 1 distribution, got 2\n"),
+    ("[]", "rearrange left --in {in}", "error: need exactly 1 sequence, got 0\n"),
+    ('[["1"],["1"]]', "rearrange left --in {in}", "error: need exactly 1 sequence, got 2\n"),
     (None, "rearrange left", "give --values or --in"),
     (None, "asym wagner --n 5 --b 1 --c=-1", "coefficients must be positive"),
     (None, "asym wagner --n 5 --b 1 --c 1/1" + "0" * 400, "a positive coefficient is below the float range"),
@@ -537,7 +561,7 @@ def _run_malformed(tmp_path, capsys, text, command):
     path = tmp_path / "in.json"
     if text is not None:
         path.write_text(text)
-    code, _, err = run(capsys, *command.format(**{"in": path}).split())
+    code, _, err = run(capsys, *shlex.split(command.format(**{"in": path})))
     assert code == 1
     assert "error:" in err
     assert "Traceback" not in err
@@ -575,6 +599,13 @@ LONG_DENOMINATORS = json.dumps([Dist.from_entries([(0, F(1, d)), (1, F(d - 1, d)
 LONG_FLAT = f"{(2**2000 + 1) // 819 + 1}/{2**2000 + 1}"
 # two atoms 2 * 10^7 apart: not unimodal, read from the atoms alone
 FAR = json.dumps([law.to_json_obj() for law in (uniform_on([-10**7, 10**7]), uniform_on([-1, 0, 1]), delta(0))])
+# two laws over 10^3000 and 10^3000 + 2, near 1/2 each: their hit has a denominator of up to 6,000 digits
+HIT_DIGITS = json.dumps([Dist.from_entries([(0, F(d // 2 + 1, d)), (1, F(d - d // 2 - 1, d))]).to_json_obj()
+                         for d in (10**3000, 10**3000 + 2)])
+# a law of mass 10^-600 at 1 and seven uniform on {0, 1}: the zero mass of 8 alternating copies of the first divides
+# (10^600)^8, of 4,801 digits
+ZERO_DIGITS = json.dumps([Dist.from_entries([(0, 1 - F(1, 10**600)), (1, F(1, 10**600))]).to_json_obj()]
+                         + [uniform_on([0, 1]).to_json_obj()] * 7)
 
 
 @pytest.mark.parametrize("text, command", TOO_LARGE + [
@@ -584,6 +615,8 @@ FAR = json.dumps([law.to_json_obj() for law in (uniform_on([-10**7, 10**7]), uni
     (SPREAD24, "dist conv --in {in}"),
     (LONG_DENOMINATORS, "dist conv --in {in}"),
     (None, f"asym corollary2 --n 5 --alpha {LONG_FLAT}"),
+    (HIT_DIGITS, "check theorem2 --in {in} --alpha 99/100 --x 1"),
+    (ZERO_DIGITS, "check balancing --in {in} --x 0"),
 ])
 def test_every_size_refusal_has_one_shape(tmp_path, capsys, text, command):
     # one gate raises every cap refusal; the sign search on 8 spread atoms predicts 1.4e10 steps, hours of work

@@ -109,7 +109,7 @@ class TestTransforms:
         assert d.convolve(delta((0, 0))) == d
 
     def test_map_points_keeps_the_dimension(self):
-        with pytest.raises(DimensionMismatch, match=r"image point \(0, 0\) has dim 2, expected 1"):
+        with pytest.raises(DimensionMismatch, match=r"^point \(0, 0\) has dim 2, expected 1$"):
             bernoulli(F(1, 3)).map_points(lambda p: (p[0], 0))
 
     def test_convolve_dim_mismatch(self):
