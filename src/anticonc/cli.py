@@ -68,9 +68,10 @@ def _parse_point(text: str) -> tuple[int, ...]:
 
 
 def _load_json(path: str):
+    text = Path(path).read_text()
     try:
-        return json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, RecursionError) as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:    # a decoding error, or an integer over the interpreter's digit limit
         raise UsageError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -505,12 +506,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _leaf_parser(path: tuple[str, ...]) -> argparse.ArgumentParser:
+    """The parser of one leaf, built on its first use and kept: parse_args leaves a parser as it found it."""
+    return _leaf(_Parser(prog=" ".join(("anticonc", *path))), COMMANDS[path])
+
+
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
     """Parse with the parser of the leaf that argv names; any other argv (help, a bare group,
     an unknown word, an option before the words) goes to the whole tree, for its usage and errors."""
     for path in (tuple(argv[:2]), tuple(argv[:1])):
         if path in COMMANDS:
-            return _leaf(_Parser(prog=" ".join(("anticonc", *path))), COMMANDS[path]).parse_args(argv[len(path):])
+            return _leaf_parser(path).parse_args(argv[len(path):])
     return build_parser().parse_args(argv)
 
 

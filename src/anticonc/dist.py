@@ -6,6 +6,16 @@ operation ever rounds.  Masses cross the API as `fractions.Fraction`.
 Distributions are immutable; every operation returns a new one.  Points are
 kept in lexicographic order, so the stored form is unique and equality,
 hashing and serialization are canonical.
+
+Two kernels form sums.  The dict kernel (`Dist.convolve`) multiplies every
+pair of atoms.  The recurrence kernel (`_recurrence`) forms a product of
+powers of dense integer polynomials, one coefficient at a time, with one
+short multiply per run of equal coefficients and one exact division; a law
+enters it as its numerators packed into one dense list (`_dense_form`).
+One predicate (`_dense`) sends a power to the recurrence only when that is
+priced below the dict products it replaces; every entry point is still
+gated by the plan of those dict products, so the plan over-charges the
+recurrence and no admission depends on which kernel runs.
 """
 
 from __future__ import annotations
@@ -18,12 +28,12 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
+from functools import cached_property, reduce
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .errors import (DimensionMismatch, MassNotOne, NegativeMass, ZeroWeight, _fits, _lookups, _product,
-                     _require_at_least, _require_common_dim, _require_digits, _require_line, _require_plan,
-                     _require_within)
+from .errors import (AssertionFailed, DimensionMismatch, MassNotOne, NegativeMass, ZeroWeight, _fits, _lookups,
+                     _product, _require_at_least, _require_common_dim, _require_digits, _require_line, _require_plan,
+                     _require_within, _updates)
 
 __all__ = [
     "Dist",
@@ -240,7 +250,7 @@ class Dist:
         # most significant; the radix leaves room for every coordinate of a
         # sum, so adding two keys adds the points without carries, and key
         # order is point order.
-        half = 2 * max([abs(c) for d in (self, other) for p in d.support for c in p])
+        half = 2 * max([abs(c) for d in (self, other) for p in d.support for c in p], default=0)
         radix = 2 * half + 1
         weights = [radix**i for i in reversed(range(self.dim))]
         left, right = ([(sum(map(operator.mul, p, weights)), m) for p, m in zip(d.support, d.nums)]
@@ -308,18 +318,28 @@ def uniform_on(points: Iterable[PointLike]) -> Dist:
 
 
 def convolve_all(dists: Sequence[Dist]) -> Dist:
-    """Law of the sum of independent draws, one per distribution, within the atom and step caps."""
-    return deque(_prefix_sums(dists), maxlen=1)[0]
+    """Law of the sum of independent draws, one per distribution, within the atom and step caps.  A leading run of m
+    equal laws is one power, which the recurrence forms when `_dense` prices it below the run's m - 1 products."""
+    _require_sum(dists)
+    law, m = dists[0], len(list(itertools.takewhile(dists[0].__eq__, dists)))
+    if _dense(law, [m], [(i, 1) for i in range(1, m)]):
+        return reduce(Dist.convolve, dists[m:], _recurrence_powers(law, [m])[m])
+    return deque(itertools.accumulate(dists, Dist.convolve), maxlen=1)[0]
 
 
 def _prefix_sums(dists: Sequence[Dist]) -> Iterator[Dist]:
     """The laws of X_1, X_1 + X_2, ... for independent X_i ~ dists[i], the fold priced before its first product."""
+    _require_sum(dists)
+    return itertools.accumulate(dists, Dist.convolve)
+
+
+def _require_sum(dists: Sequence[Dist]) -> None:
+    """The gate of a sum of given laws: a common dimension, then digits and the left fold's plan."""
     _require_common_dim(dists, "distribution")
     if len(dists) > 1:
         what = f"the sum of {len(dists)} laws"
         _require_digits(len(dists), sum([math.log10(d.den) for d in dists]))
         _require_plan(what, _fold(what, [(d, 1, 1) for d in dists]))
-    return itertools.accumulate(dists, Dist.convolve)
 
 
 def _sum_atoms(groups: Iterable[tuple[Dist, int, int]]) -> Iterator[int]:
@@ -363,26 +383,172 @@ def _fold(what: str, groups: Sequence[tuple[Dist, int, int]], hit: bool = False)
 
 
 def self_convolve(dist: Dist, n: int) -> Dist:
-    """n-fold convolution power by square and multiply; n = 0 gives the point
-    mass at the origin.  Exact, canonical laws make the product order moot."""
+    """n-fold convolution power; n = 0 gives the point mass at the origin.
+    Exact, canonical laws make the product order moot."""
     _require_at_least("n", n, 0)
-    return next(_power([dist], n, 0))[n]
+    return next(_power([dist], n, 0))[0]
 
 
-def _power(laws: Sequence[Dist], n: int, odd: int) -> Iterator[dict[int, Dist]]:
-    """Per law in turn, the powers square and multiply forms up to n copies, and n + 1 when odd, keyed by copies.  One
-    plan prices the products of all the laws before the first: a copies times b copies (the squares, each set bit of
-    n above the lowest times the bits below, then n times 1 when odd) is the fold of groups (law, 1, a), (law, 1, b)."""
+def _power(laws: Sequence[Dist], n: int, odd: int) -> Iterator[tuple[Dist, Dist]]:
+    """Per law in turn, its powers of n and n + odd copies.  One plan prices the products of all the laws before the
+    first, as square and multiply forms them: a copies times b copies (the squares, each set bit of n above the lowest
+    times the bits below, then n times 1 when odd) is the fold of groups (law, 1, a), (law, 1, b).  The recurrence
+    forms a law's powers instead when `_dense` prices it below those products."""
     what = f"{n + odd} copies of " + ("a law" if len(laws) == 1 else f"{len(laws)} laws")
     plan = [(1 << j, 1 << j) for j in range(n.bit_length() - 1)]
     plan += [(n & (1 << i) - 1, 1 << i) for i in range(n.bit_length()) if n >> i & 1 and n & (1 << i) - 1]
     plan += [(n, 1)] * odd
     _require_plan(what, itertools.chain(*[_fold(what, [(mu, 1, a), (mu, 1, b)]) for mu in laws for a, b in plan]))
     for mu in laws:
-        power = {1: mu, 0: delta((0,) * mu.dim)} if n == 0 else {1: mu}
-        for a, b in plan:
-            power[a + b] = power[a].convolve(power[b])
-        yield power
+        if _dense(mu, {n, n + odd}, plan):
+            power = _recurrence_powers(mu, {n, n + odd})
+        else:
+            power = {1: mu, 0: delta((0,) * mu.dim)} if n == 0 else {1: mu}
+            for a, b in plan:
+                power[a + b] = power[a].convolve(power[b])
+        yield power[n], power[n + odd]
+
+
+# -- the recurrence kernel -------------------------------------------------
+
+
+def _dense_form(law: Dist, copies: int) -> tuple[list[int], Callable[[int, int], list[Point]]]:
+    """The index of each atom in the law's dense coefficient list g, the first 0, and the map from (h, size) to the
+    points of the coefficients 0..size - 1 of g^h, h <= copies.  Each point is packed into one integer, first
+    coordinate most significant, in the tight radix copies * span + 1 per coordinate measured from the minima;
+    packing is a ring map, injective on the box of the sum of `copies` laws, so the power of g is the packed power of
+    the law.  The keys are then shifted by the first atom's and divided by the gcd of the offsets (the lattice step in
+    one dimension)."""
+    lows = [min(c) for c in zip(*law.support)]
+    radices = [copies * span + 1 for span, _ in law._lattice]
+    weights = [math.prod(radices[c + 1:]) for c in range(law.dim)]
+    keys = [sum(map(operator.mul, p, weights)) for p in law.support]
+    first = keys[0] - sum(map(operator.mul, lows, weights))
+    step = math.gcd(*[k - keys[0] for k in keys]) or 1
+
+    def points(h: int, size: int) -> list[Point]:
+        packed = range(h * first, h * first + size * step, step)
+        columns = [[h * lo + key // w % r for key in packed] for lo, w, r in zip(lows, weights, radices)]
+        return list(zip(*columns)) if columns else [()] * size
+
+    return [(k - keys[0]) // step for k in keys], points
+
+
+def _dense(law: Dist, copies: Collection[int], pairs: Sequence[tuple[int, int]]) -> bool:
+    """The one choice of kernel for powers of a law: the recurrence forms the powers of `copies` copies when its
+    passes cost no more than the dict products `pairs` (a copies times b copies) that would form them.  A pass is
+    priced by `errors._updates` at the box of coefficients times the runs of the law's dense list (a run starts at
+    each atom past the first that does not extend a stretch of equal numerators), a product by `errors._product` at
+    the atoms `_sum_atoms` predicts, both on numerators of copies times the law's bits; read from the atoms alone.
+    So a sparse law, whose box is wide next to its atoms, keeps the dict kernel, and so does a power with no product."""
+    if not pairs:
+        return False
+    keys, _ = _dense_form(law, max(copies))
+    edges = zip(keys, keys[1:], law.nums, law.nums[1:])
+    runs = sum([k != j + 1 or m != n or j == 0 for j, k, n, m in edges])
+    bits = (law.den - 1).bit_length()
+    kernel = sum([_updates((keys[-1] * h + 1) * runs, h * bits, law.den) for h in copies])
+    steps = itertools.accumulate(_product(*[next(_sum_atoms([(law, 1, m)])) for m in (a, b)], a * bits, b * bits)
+                                 for a, b in pairs)
+    return any(total >= kernel for total in steps)
+
+
+def _recurrence_powers(law: Dist, copies: Collection[int]) -> dict[int, Dist]:
+    """The laws of h iid copies of `law` for each h of `copies`, from the powers of its dense list."""
+    keys, points = _dense_form(law, max(copies))
+    g = [0] * (keys[-1] + 1)
+    for k, m in zip(keys, law.nums):
+        g[k] = m
+    powers = {h: _recurrence([g], [h]) for h in copies}
+    return {h: _canonical(law.dim, dict(zip(points(h, len(f)), f)), law.den**h) for h, f in powers.items()}
+
+
+def _runs(polys: Sequence[list[int]], counts: Sequence[int]) -> tuple[int, list[list[int]]]:
+    """p_0 and the runs of the recurrence of F = prod g_i^(e_i), each g_i[0] > 0.  With P = prod g_i and
+    Q = sum e_i g_i' prod_(j != i) g_j, F' P = F Q reads m p_0 F_m = sum_(k >= 1) (a_k - m p_k) F_(m - k), with
+    a_k = q_(k - 1) + k p_k.  A run [lo, hi, p, alpha, beta] is a longest stretch of k over which p_k = p and
+    a_k = alpha + beta k: a flat stretch of a single g, whatever its length, is one run."""
+    p = reduce(_times, polys, [1])
+    q = [0] * len(p)
+    for i, e in enumerate(counts):
+        derivative = [e * k * c for k, c in enumerate(polys[i])][1:]
+        for k, c in enumerate(reduce(_times, polys[:i] + polys[i + 1:], derivative)):
+            q[k] += c
+    runs, last = [], 0
+    for k in range(1, len(p)):
+        a = q[k - 1] + k * p[k]
+        if not (a or p[k]):
+            continue
+        run = runs[-1] if runs else None
+        if run and run[1] == k - 1 and run[2] == p[k] and (run[0] == k - 1 or run[4] == a - last):
+            run[1], run[4] = k, a - last
+        else:
+            runs.append([k, k, p[k], a, 0])
+        last = a
+    for run in runs:
+        run[3] -= run[4] * run[0]
+    return p[0], runs
+
+
+def _times(x: list[int], y: list[int]) -> list[int]:
+    """The product of two coefficient lists."""
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                out[i + j] += a * b
+    return out
+
+
+def _recurrence(polys: Sequence[Sequence[int]], counts: Sequence[int]) -> list[int]:
+    """The coefficients of prod_i g_i^(e_i), lowest degree first, for nonzero integer lists g_i and counts e_i >= 0:
+    J. C. P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7) in the form of `_runs`.  Leading zeros of a g_i
+    are a shift.  Each coefficient costs one short multiply per run (a run longer than one term reads two running
+    window sums, of F_j and of j F_j) and one exact division by m p_0, whose remainder is checked: a nonzero one
+    raises AssertionFailed."""
+    shift, gs, es = 0, [], []
+    for g, e in zip(polys, counts):
+        if e:
+            zeros = 0
+            while not g[zeros]:
+                zeros += 1
+            shift += zeros * e
+            gs.append(g[zeros:])
+            es.append(e)
+    if len(gs) == 1 and len(gs[0]) == 2:    # (c + a x)^e, as in a binomial: m c F_m = (e + 1 - m) a F_(m - 1)
+        [(c, a)], [e] = gs, es
+        f = [c**e]
+        for m in range(1, e + 1):
+            value, remainder = divmod((e + 1 - m) * a * f[-1], m * c)
+            if remainder:
+                raise _inexact(polys, counts, m)
+            f.append(value)
+        return [0] * shift + f
+    p0, runs = _runs(gs, es)
+    pad = max([run[1] for run in runs], default=0)
+    f = [0] * pad + [math.prod([g[0] ** e for g, e in zip(gs, es)])]   # F_j at f[pad + j], so F_(m - k) at f[-k]
+    singles = [(lo, alpha, p) for lo, hi, p, alpha, _ in runs if lo == hi]
+    spans = [[lo, hi, p, alpha, beta, 0, 0] for lo, hi, p, alpha, beta in runs if lo < hi]
+    for m in range(1, sum([e * (len(g) - 1) for g, e in zip(gs, es)]) + 1):
+        total = 0
+        for k, alpha, p in singles:
+            total += (alpha - m * p) * f[-k]
+        for span in spans:
+            lo, hi, p, alpha, beta, w0, w1 = span
+            enter, leave = f[-lo], f[-hi - 1]
+            span[5] = w0 = w0 + enter - leave
+            span[6] = w1 = w1 + (m - lo) * enter - (m - hi - 1) * leave
+            total += (alpha + (beta - p) * m) * w0 - beta * w1
+        value, remainder = divmod(total, m * p0)
+        if remainder:
+            raise _inexact(polys, counts, m)
+        f.append(value)
+    return [0] * shift + f[pad:]
+
+
+def _inexact(polys: Sequence[Sequence[int]], counts: Sequence[int], m: int) -> AssertionFailed:
+    return AssertionFailed("a power recurrence left a remainder",
+                           witness={"polys": [list(g) for g in polys], "counts": list(counts), "m": m})
 
 
 def _hit(dists: Sequence[Dist], x: PointLike) -> Fraction:
@@ -408,7 +574,7 @@ def _alternating_zero(laws: Sequence[Dist], n: int) -> list[Fraction]:
     each law's den^n, which its value divides, must print before that."""
     _require_digits(n, n * math.log10(max([law.den for law in laws])))
     h, odd = n // 2, n % 2
-    return [_hit([power[h + odd], power[h].negate()], (0,) * power[1].dim) for power in _power(laws, h, odd)]
+    return [_hit([plus, minus.negate()], (0,) * plus.dim) for minus, plus in _power(laws, h, odd)]
 
 
 class ScaledDist(NamedTuple):

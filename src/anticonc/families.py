@@ -15,7 +15,8 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .dist import Dist, PointLike, RationalLike, _canonical, as_fraction, as_point, convolve_all
+from .dist import (Dist, PointLike, RationalLike, _canonical, _recurrence, _require_sum, as_fraction, as_point,
+                   convolve_all)
 from .errors import (ParamOutOfRange, RestPointInSupport, WrongSupportSize, _require_alpha, _require_at_least,
                      _require_flat, _require_p, _require_plan, _require_summands, _updates)
 
@@ -85,7 +86,8 @@ def bernoulli(p: RationalLike) -> Dist:
 def binomial(n: int, p: RationalLike) -> Dist:
     """Binomial law via the exact closed-form pmf; n = 0 is the point mass at 0.
 
-    With p = a/b the mass at k is C(n, k) a^k (b - a)^(n - k) / b^n; b^n must print.
+    With p = a/b the mass at k is C(n, k) a^k (b - a)^(n - k) / b^n, the coefficients of (b - a + a x)^n, which
+    the recurrence kernel forms (p = 1 is the shift x^n); b^n must print.
     """
     q = as_fraction(p)
     _require_at_least("n", n, 0)
@@ -94,24 +96,24 @@ def binomial(n: int, p: RationalLike) -> Dist:
     a, b = q.numerator, q.denominator
     _require_summands(n, 2, b)
     _require_plan(f"a binomial law of {n} summands", [_updates(n + 1, n * (b - 1).bit_length(), b)])
-    return _canonical(1, {(k,): m for k, m in enumerate(_binomial_nums(n, a, b - a))}, b**n)
-
-
-def _binomial_nums(n: int, a: int, c: int) -> list[int]:
-    """C(n, k) a^k c^(n - k), k = 0..n, down from a^n by exact ratios k c / ((n - k + 1) a); a >= 1, so c = 0 works."""
-    nums = [a**n]
-    for k in range(n, 0, -1):
-        nums.append(nums[-1] * k * c // ((n - k + 1) * a))
-    return nums[::-1]
+    return _canonical(1, {(k,): m for k, m in enumerate(_recurrence([[b - a, a]], [n]))}, b**n)
 
 
 def alternating_bernoulli(n: int, p: RationalLike) -> Dist:
     """Law of an alternating-signed sum of n iid Bernoulli(p) variables.
 
     ceil(n/2) summands enter with sign +1 and floor(n/2) with sign -1, so
-    the result is the difference of two independent binomials.
+    the result is the difference of two independent binomials.  With p = a/b,
+    c = b - a, u = ceil(n/2) and v = floor(n/2), its numerators shifted by v are
+    the coefficients of (c + a x)^u (a + c x)^v, formed by the recurrence kernel
+    once the two binomials and their product pass the gates of `convolve_all`.
     """
-    return convolve_all(_alternating_halves(n, p))
+    halves = _alternating_halves(n, p)
+    _require_sum(halves)
+    q = as_fraction(p)
+    a, c, v = q.numerator, q.denominator - q.numerator, n // 2
+    nums = _recurrence([[c, a], [a, c]], [n - v, v])
+    return _canonical(1, {(k - v,): m for k, m in enumerate(nums)}, q.denominator**n)
 
 
 def _alternating_halves(n: int, p: RationalLike) -> list[Dist]:

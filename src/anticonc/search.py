@@ -15,13 +15,12 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Sequence
 
-from .dist import (Dist, Point, PointLike, RationalLike, _fold, _hit, _point_in, _prefix_sums, as_fraction, as_point,
-                   delta)
+from .dist import (Dist, Point, PointLike, RationalLike, _fold, _hit, _point_in, _prefix_sums, _recurrence, as_fraction,
+                   as_point, delta)
 from .asymptotics import local_limit_exact
 from .errors import (AssertionFailed, EvenN, ParamOutOfRange, QTooLarge, ZeroWeight, _require_alpha, _require_at_least,
                      _require_common_dim, _require_digits, _require_even, _require_p, _require_plan, _require_within,
                      _updates, require_bound)
-from .families import _binomial_nums
 
 __all__ = [
     "GridSearchResult",
@@ -95,7 +94,7 @@ def _split_rows(n: int, q: Fraction) -> tuple[KRow, ...]:
     """The rows of `optimal_k_scan` for n and a p that its callers validated."""
     a, b = q.numerator, q.denominator
     c, den = b - a, b**n
-    row = _binomial_nums(n, a, c)
+    row = _recurrence([[c, a]], [n])
     rows = []
     for k in range(n // 2 + 1):
         if k:

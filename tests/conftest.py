@@ -8,7 +8,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import settings
 
-from anticonc import Dist
+from anticonc import Dist, dist, errors
 
 settings.register_profile("repro", derandomize=True)
 settings.load_profile("repro")
@@ -68,3 +68,12 @@ def brute_weighted_law(weights, components) -> dict[tuple[int, ...], Fraction]:
             total = term if total is None else tuple(a + b for a, b in zip(total, term))
         law[total] = law.get(total, Fraction(0)) + mass
     return law
+
+
+def recurrence_steps(polys, counts, out) -> int:
+    """Steps of one pass of the recurrence kernel, priced by its rule (`errors._updates`) from what it formed: one
+    update per coefficient and run of the recurrence, on the bits of the largest coefficient, dividing by factors of
+    the laws' denominator (the sum of a law's numerators)."""
+    gs = [list(itertools.dropwhile(lambda c: c == 0, g)) for g, e in zip(polys, counts) if e]
+    runs = len(dist._runs(gs, [e for e in counts if e])[1])
+    return errors._updates(len(out) * runs, max(out).bit_length(), max([sum(g) for g in polys], default=1))

@@ -335,6 +335,17 @@ class TestParseRoutes:
             with pytest.raises(TreeBuilt):
                 main(argv)
 
+    def test_a_kept_leaf_parser_starts_each_call_afresh(self, capsys):
+        # one leaf parsed three times in one process: a flag given once is not remembered, and a usage error leaves
+        # nothing behind for the next call
+        argv = ["asym", "tnzero", "--n", "8", "--p", "1/2"]
+        code, as_json, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and json.loads(as_json)[0]["exact"] == "35/128"
+        assert run(capsys, *argv[:4]) == (1, "", "error: the following arguments are required: --p\n")
+        code, as_csv, _ = run(capsys, *argv)
+        assert code == 0 and as_csv.startswith("quantity,n,param,exact,") and as_csv != as_json
+        assert cli._leaf_parser.cache_info().currsize >= 1
+
 
 class TestScanCommands:
     def test_kphase_csv(self, capsys):
@@ -516,6 +527,10 @@ GUARDED = [
     (None, "asym tnzero --n ٤ --p 1/2", "error: argument --n: invalid int value: '٤'\n"),
     ("{", "dist q --in {in}", "invalid JSON"),
     pytest.param("[" * 100000, "dist q --in {in}", "invalid JSON", id="nested-100000-deep"),
+    # a JSON integer past the interpreter's digit limit for int-to-str conversion
+    pytest.param('{"dim":1,"atoms":[[[' + "1" * 5001 + '],"1/1"]]}', "dist q --in {in}",
+                 "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion: value has 5001 digits; "
+                 "use sys.set_int_max_str_digits() to increase the limit\n", id="integer-of-5001-digits"),
     # a command of one law or one sequence reads a file that holds exactly one
     ("[]", "dist q --in {in}", "error: need exactly 1 distribution, got 0\n"),
     (f"[{PAIR},{PAIR}]", "dist q --in {in}", "error: need exactly 1 distribution, got 2\n"),

@@ -17,11 +17,12 @@ from anticonc import (
     uniform_on,
     weighted_sum,
 )
-from anticonc import errors
+from anticonc import dist, errors
 from anticonc.dist import _alternating_zero, _sum_atoms, as_point
-from anticonc.errors import DimensionMismatch, MassNotOne, NegativeMass, TooLarge, ZeroWeight
+from anticonc.errors import AssertionFailed, DimensionMismatch, MassNotOne, NegativeMass, TooLarge, ZeroWeight
+from anticonc.families import quasi_uniform
 
-from conftest import brute_weighted_law, dists, fraction_convolve
+from conftest import brute_weighted_law, dists, fraction_convolve, recurrence_steps
 
 
 class TestConstruction:
@@ -240,7 +241,8 @@ def test_power_plan_never_undercounts(case, pair, n):
     # products weighted by the bits of the two numerators), refuse: self_convolve(d, n); the zero mass of 2n + 1
     # alternating copies of d, which forms the n-th power and then its product with d; and the zero masses of 2n
     # alternating copies of d and of e, whose powers share one plan, so that each alone may fit the step cap.  The
-    # caps are patched in `errors` alone, where every gate reads them.
+    # caps are patched in `errors` alone, where every gate reads them.  A power the recurrence forms counts its pass,
+    # priced by its own rule, and its atoms.
     d, e = pair
     laws, odd = ([d, e], 0) if case == "two-laws" else ([d], int(case == "odd"))
 
@@ -249,7 +251,7 @@ def test_power_plan_never_undercounts(case, pair, n):
 
     refusal = f"^{n + odd} copies of {'2 laws' if len(laws) == 2 else 'a law'} predict .* "
     sizes, steps = [], []
-    convolve = Dist.convolve
+    convolve, recurrence = Dist.convolve, dist._recurrence
 
     def counted(a, b):
         out = convolve(a, b)
@@ -258,8 +260,15 @@ def test_power_plan_never_undercounts(case, pair, n):
         steps.append(40 + len(a.support) * len(b.support) * (2**20 + bits) // 2**20)
         return out
 
+    def recurred(polys, counts):
+        out = recurrence(polys, counts)
+        sizes.append(sum(map(bool, out)))
+        steps.append(recurrence_steps(polys, counts, out))
+        return out
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Dist, "convolve", counted)
+        patch.setattr(dist, "_recurrence", recurred)
         for cap in ("MAX_ATOMS", "MAX_WORK"):
             patch.setattr(errors, cap, math.inf)
         power()
@@ -271,6 +280,82 @@ def test_power_plan_never_undercounts(case, pair, n):
         patch.setattr(errors, "MAX_WORK", sum(steps) - 1)
         with pytest.raises(TooLarge, match=refusal + "steps"):
             power()
+
+
+def lattice_laws(dim):
+    # negative coordinates, lattice steps above 1 and one-atom laws
+    return st.builds(Dist.scale, dists(dim=dim, max_support=5), st.integers(1, 3))
+
+
+QUASI_UNIFORM = st.builds(F, st.integers(1, 6), st.integers(2, 30)).filter(lambda a: a < 1).map(quasi_uniform)
+
+
+@given(st.one_of(st.integers(1, 3).flatmap(lattice_laws), QUASI_UNIFORM), st.integers(0, 9))
+@example(delta((2, -3, 5)), 7)
+@example(delta(()), 7)                  # dimension 0: the one point ()
+@example(quasi_uniform(F(1, 4)), 9)     # flat, with no remainder
+@example(quasi_uniform(F(2, 7)), 9)     # flat, and a remainder of 1/7
+@example(uniform_on([(-4, 2, 0), (2, -4, 6), (0, 0, 0)]), 5)
+def test_recurrence_matches_the_dict_kernel(law, n):
+    # a power and a sum of equal laws, each formed once by the dict kernel and once by the recurrence
+    def both():
+        return self_convolve(law, n), convolve_all([law] * (n + 1)), _alternating_zero([law], n + 1)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dist, "_dense", lambda *args: False)
+        by_dict = both()
+        patch.setattr(dist, "_dense", lambda *args: True)
+        assert both() == by_dict
+
+
+def polynomial_product(polys, counts):
+    out = [1]
+    for g, e in zip(polys, counts):
+        for _ in range(e):
+            out = [sum(out[i] * g[k - i] for i in range(len(out)) if 0 <= k - i < len(g))
+                   for k in range(len(out) + len(g) - 1)]
+    return out
+
+
+@given(st.lists(st.tuples(st.lists(st.integers(0, 5), min_size=1, max_size=5).filter(any), st.integers(0, 6)),
+                min_size=1, max_size=3))
+@example([([0, 0, 3, 3, 3, 1], 5), ([2, 0, 1], 3)])
+def test_recurrence_is_the_product_of_powers(factors):
+    # leading zeros are a shift, a zero count drops its factor, flat stretches are runs
+    polys, counts = zip(*factors)
+    assert dist._recurrence(polys, counts) == polynomial_product(polys, counts)
+
+
+def test_a_remainder_is_a_failure(monkeypatch):
+    # the divisions are exact for a true recurrence; a wrong one is caught, not rounded
+    runs = dist._runs
+    monkeypatch.setattr(dist, "_runs", lambda polys, counts: (runs(polys, counts)[0] * 2, runs(polys, counts)[1]))
+    with pytest.raises(AssertionFailed, match="remainder") as failure:
+        dist._recurrence([[1, 1, 1]], [3])
+    assert failure.value.witness == {"polys": [[1, 1, 1]], "counts": [3], "m": 1}
+
+
+README_LAW = Dist.from_entries([(-2, F(1, 6)), (0, F(1, 4)), (1, F(1, 3)), (3, F(1, 4))])
+
+
+@pytest.mark.parametrize("law, n, recurrence", [
+    (README_LAW, 64, True),
+    (quasi_uniform(F(1, 3)), 40, True),
+    (quasi_uniform(F(2, 7)), 40, True),
+    (uniform_on([(0, 0), (1, 0), (0, 1), (3, 2)]), 25, True),
+    (uniform_on([0, 1, 100, 10000]), 10, False),
+    (uniform_on([0, 1, 7, 50, 333, 2000, 15000, 99999]), 4, False),
+])
+def test_the_predicate_sends_dense_powers_to_the_recurrence(monkeypatch, law, n, recurrence):
+    # a dense power is one pass of the recurrence, a power or a sum of copies alike; a sparse one is products
+    calls = []
+    convolve, recur = Dist.convolve, dist._recurrence
+    monkeypatch.setattr(Dist, "convolve", lambda a, b: calls.append("product") or convolve(a, b))
+    monkeypatch.setattr(dist, "_recurrence", lambda polys, counts: calls.append("pass") or recur(polys, counts))
+    for power in (lambda: self_convolve(law, n), lambda: convolve_all([law] * n)):
+        calls.clear()
+        power()
+        assert calls == ["pass"] if recurrence else "pass" not in calls
 
 
 GROUPS = st.integers(1, 3).flatmap(lambda dim: st.lists(dists(dim=dim), min_size=1, max_size=2)).flatmap(

@@ -16,7 +16,7 @@ from anticonc import (
     self_convolve,
     weighted_sum,
 )
-from anticonc.families import _binomial_nums
+from anticonc.dist import _recurrence
 from anticonc.errors import AlphaOutOfRange, ParamOutOfRange, RestPointInSupport, TooLarge, WrongSupportSize
 
 from conftest import fractions_in_unit
@@ -89,8 +89,8 @@ class TestBinomial:
 
     @given(st.integers(0, 60), st.integers(1, 50), st.integers(0, 50))
     def test_numerators_match_the_closed_form(self, n, a, c):
-        # the running ratio gives each C(n, k) a^k c^(n - k) exactly, c = 0 (p = 1) and n = 0 included
-        assert _binomial_nums(n, a, c) == [math.comb(n, k) * a**k * c ** (n - k) for k in range(n + 1)]
+        # the recurrence gives each C(n, k) a^k c^(n - k) of (c + a x)^n exactly, c = 0 (p = 1) and n = 0 included
+        assert _recurrence([[c, a]], [n]) == [math.comb(n, k) * a**k * c ** (n - k) for k in range(n + 1)]
 
     def test_degenerate_edges(self):
         assert binomial(0, F(1, 3)) == delta(0)

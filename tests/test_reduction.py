@@ -20,7 +20,7 @@ from anticonc import (
     quasi_uniform,
     uniform_on,
 )
-from anticonc import reduction
+from anticonc import dist, reduction
 from anticonc.errors import AlphaOutOfRange, AssertionFailed, OddN, QTooLarge
 from anticonc.sampling import random_capped_dist, random_dist
 
@@ -95,12 +95,14 @@ class TestBalancingBound:
 
     def test_one_power_per_distinct_law(self, monkeypatch):
         calls = []
-        convolve = Dist.convolve
-        monkeypatch.setattr(Dist, "convolve", lambda a, b: calls.append(1) or convolve(a, b))
+        convolve, recurrence = Dist.convolve, dist._recurrence
+        monkeypatch.setattr(Dist, "convolve", lambda a, b: calls.append("product") or convolve(a, b))
+        monkeypatch.setattr(dist, "_recurrence", lambda polys, counts: calls.append("pass") or recurrence(polys, counts))
         b = bernoulli(F(1, 3))
         bound = balancing_bound([b] * 4, (0,))
-        # 2 for the lhs, whose last product is a lookup; one squaring for the half power of the single rhs
-        assert len(calls) == 3
+        # one squaring for the half power of the single rhs, priced below a pass of the recurrence; then one pass for
+        # the lhs head, three copies of b, whose last product is a lookup
+        assert calls == ["product", "pass"]
         assert (bound.index, bound.rhs) == (0, F(11, 27))
 
     def test_odd_count_rejected(self):

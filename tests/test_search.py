@@ -33,7 +33,7 @@ from anticonc.dist import _hit, _sum_atoms
 from anticonc.search import GridSearchResult
 from anticonc.errors import AssertionFailed, EvenN, OddN, ParamOutOfRange, QTooLarge, TooLarge, ZeroWeight
 from anticonc.sampling import random_capped_dist, random_dist
-from conftest import dists
+from conftest import dists, recurrence_steps
 
 
 def binom_pmf(n, k, p):
@@ -212,8 +212,8 @@ def counting_kernels(patch, steps):
     # the work each kernel call does, priced by the rule of its kernel from what it actually formed: a convolution
     # 40 steps plus its atom products, each weighted by the bits of the two numerators; a hit one step per atom of
     # the last law's table and one lookup and product per atom of its head; a pass of coefficient updates 80 steps
-    # plus its updates of 1 + bits limbs / 4096
-    convolve, ladder, recurrence = Dist.convolve, search._next_split, search._binomial_nums
+    # plus its updates of 1 + bits limbs / 4096, a pass of the recurrence kernel one update per coefficient and run
+    convolve, ladder, recurrence = Dist.convolve, search._next_split, search._recurrence
 
     def counted(a, b):
         bits = max(a.nums).bit_length() * max(b.nums).bit_length()
@@ -226,18 +226,21 @@ def counting_kernels(patch, steps):
         steps.append(len(dists[-1].support) + len(head.support) * (2**21 + bits) // 2**20)
         return _hit(dists, x)
 
-    def updates(kernel, fixed):
-        def run(row_or_n, a, c):
-            out = kernel(row_or_n, a, c)
-            limbs = -(-(a + c).bit_length() // 64)
-            steps.append(fixed + len(out) * (4096 + max(out).bit_length() * limbs) // 4096)
-            return out
-        return run
+    def updates(row, a, c):
+        out = ladder(row, a, c)
+        limbs = -(-(a + c).bit_length() // 64)
+        steps.append(len(out) * (4096 + max(out).bit_length() * limbs) // 4096)
+        return out
+
+    def recurred(polys, counts):
+        out = recurrence(polys, counts)
+        steps.append(recurrence_steps(polys, counts, out))
+        return out
 
     patch.setattr(Dist, "convolve", counted)
     patch.setattr(search, "_hit", hit)
-    patch.setattr(search, "_binomial_nums", updates(recurrence, 80))
-    patch.setattr(search, "_next_split", updates(ladder, 0))
+    patch.setattr(search, "_recurrence", recurred)
+    patch.setattr(search, "_next_split", updates)
 
 
 def refused_below_largest_law(run, what):
@@ -384,7 +387,7 @@ class TestWeightGridSearch:
             steps, predicted = [], []
             with pytest.MonkeyPatch.context() as patch:
                 counting_kernels(patch, steps)
-                patch.setattr(families, "_binomial_nums", search._binomial_nums)
+                patch.setattr(families, "_recurrence", search._recurrence)
                 patch.setattr(errors, "_require_within", lambda *call: predicted.append(call))
                 run()
             plans = [count for name, count, unit in predicted if unit == "steps" and what in name]
