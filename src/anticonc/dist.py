@@ -8,10 +8,10 @@ kept in lexicographic order, so the stored form is unique and equality,
 hashing and serialization are canonical.
 
 Two kernels form sums.  The dict kernel (`Dist.convolve`) multiplies every
-pair of atoms.  The recurrence kernel (`_recurrence`) forms a product of
-powers of dense integer polynomials, one coefficient at a time, with one
-short multiply per run of equal coefficients and one exact division; a law
-enters it as its numerators packed into one dense list (`_dense_form`).
+pair of atoms.  The recurrence kernel (`_recurrence`) forms a power of one
+dense integer polynomial, one coefficient at a time, with one short multiply
+per run of equal coefficients (`_runs`) and one exact division; a law enters
+it as its numerators packed into one dense list (`_dense_form`).
 One predicate (`_dense`) sends a power to the recurrence only when that is
 priced below the dict products it replaces; every entry point is still
 gated by the plan of those dict products, so the plan over-charges the
@@ -437,15 +437,14 @@ def _dense_form(law: Dist, copies: int) -> tuple[list[int], Callable[[int, int],
 def _dense(law: Dist, copies: Collection[int], pairs: Sequence[tuple[int, int]]) -> bool:
     """The one choice of kernel for powers of a law: the recurrence forms the powers of `copies` copies when its
     passes cost no more than the dict products `pairs` (a copies times b copies) that would form them.  A pass is
-    priced by `errors._updates` at the box of coefficients times the runs of the law's dense list (a run starts at
-    each atom past the first that does not extend a stretch of equal numerators), a product by `errors._product` at
-    the atoms `_sum_atoms` predicts, both on numerators of copies times the law's bits; read from the atoms alone.
+    priced by `errors._updates` at the box of coefficients times the `_runs` of the law's atoms past the first, a
+    product by `errors._product` at the atoms `_sum_atoms` predicts, both on numerators of copies times the law's
+    bits; read from the atoms alone, so no box is built.
     So a sparse law, whose box is wide next to its atoms, keeps the dict kernel, and so does a power with no product."""
     if not pairs:
         return False
     keys, _ = _dense_form(law, max(copies))
-    edges = zip(keys, keys[1:], law.nums, law.nums[1:])
-    runs = sum([k != j + 1 or m != n or j == 0 for j, k, n, m in edges])
+    runs = len(_runs(zip(keys[1:], law.nums[1:])))
     bits = (law.den - 1).bit_length()
     kernel = sum([_updates((keys[-1] * h + 1) * runs, h * bits, law.den) for h in copies])
     steps = itertools.accumulate(_product(*[next(_sum_atoms([(law, 1, m)])) for m in (a, b)], a * bits, b * bits)
@@ -459,96 +458,63 @@ def _recurrence_powers(law: Dist, copies: Collection[int]) -> dict[int, Dist]:
     g = [0] * (keys[-1] + 1)
     for k, m in zip(keys, law.nums):
         g[k] = m
-    powers = {h: _recurrence([g], [h]) for h in copies}
+    powers = {h: _recurrence(g, h) for h in copies}
     return {h: _canonical(law.dim, dict(zip(points(h, len(f)), f)), law.den**h) for h, f in powers.items()}
 
 
-def _runs(polys: Sequence[list[int]], counts: Sequence[int]) -> tuple[int, list[list[int]]]:
-    """p_0 and the runs of the recurrence of F = prod g_i^(e_i), each g_i[0] > 0.  With P = prod g_i and
-    Q = sum e_i g_i' prod_(j != i) g_j, F' P = F Q reads m p_0 F_m = sum_(k >= 1) (a_k - m p_k) F_(m - k), with
-    a_k = q_(k - 1) + k p_k.  A run [lo, hi, p, alpha, beta] is a longest stretch of k over which p_k = p and
-    a_k = alpha + beta k: a flat stretch of a single g, whatever its length, is one run."""
-    p = reduce(_times, polys, [1])
-    q = [0] * len(p)
-    for i, e in enumerate(counts):
-        derivative = [e * k * c for k, c in enumerate(polys[i])][1:]
-        for k, c in enumerate(reduce(_times, polys[:i] + polys[i + 1:], derivative)):
-            q[k] += c
-    runs, last = [], 0
-    for k in range(1, len(p)):
-        a = q[k - 1] + k * p[k]
-        if not (a or p[k]):
-            continue
-        run = runs[-1] if runs else None
-        if run and run[1] == k - 1 and run[2] == p[k] and (run[0] == k - 1 or run[4] == a - last):
-            run[1], run[4] = k, a - last
-        else:
-            runs.append([k, k, p[k], a, 0])
-        last = a
-    for run in runs:
-        run[3] -= run[4] * run[0]
-    return p[0], runs
+def _runs(terms: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """The runs of the recurrence over a polynomial's terms (k, g_k) past g_0: each [lo, hi, c] a longest stretch of
+    consecutive k over which g_k is one nonzero c, so a flat stretch, whatever its length, is one run."""
+    runs: list[list[int]] = []
+    for k, c in terms:
+        if runs and runs[-1][1] == k - 1 and runs[-1][2] == c:
+            runs[-1][1] = k
+        elif c:
+            runs.append([k, k, c])
+    return runs
 
 
-def _times(x: list[int], y: list[int]) -> list[int]:
-    """The product of two coefficient lists."""
-    out = [0] * (len(x) + len(y) - 1)
-    for i, a in enumerate(x):
-        if a:
-            for j, b in enumerate(y):
-                out[i + j] += a * b
-    return out
-
-
-def _recurrence(polys: Sequence[Sequence[int]], counts: Sequence[int]) -> list[int]:
-    """The coefficients of prod_i g_i^(e_i), lowest degree first, for nonzero integer lists g_i and counts e_i >= 0:
-    J. C. P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7) in the form of `_runs`.  Leading zeros of a g_i
-    are a shift.  Each coefficient costs one short multiply per run (a run longer than one term reads two running
-    window sums, of F_j and of j F_j) and one exact division by m p_0, whose remainder is checked: a nonzero one
-    raises AssertionFailed."""
-    shift, gs, es = 0, [], []
-    for g, e in zip(polys, counts):
-        if e:
-            zeros = 0
-            while not g[zeros]:
-                zeros += 1
-            shift += zeros * e
-            gs.append(g[zeros:])
-            es.append(e)
-    if len(gs) == 1 and len(gs[0]) == 2:    # (c + a x)^e, as in a binomial: m c F_m = (e + 1 - m) a F_(m - 1)
-        [(c, a)], [e] = gs, es
-        f = [c**e]
+def _recurrence(g: Sequence[int], e: int) -> list[int]:
+    """The coefficients of g^e, lowest degree first, for a nonzero integer list g and e >= 0: J. C. P. Miller's power
+    recurrence (Knuth, TAOCP vol. 2, 4.7), m g_0 F_m = sum_(k >= 1) ((e + 1) k - m) g_k F_(m - k).  Leading zeros of
+    g are a shift.  Each coefficient costs one short multiply per run of `_runs` (a run longer than one term reads two
+    running window sums, of F_j and of j F_j) and one exact division by m g_0, whose remainder is checked: a nonzero
+    one raises AssertionFailed."""
+    shift = next(k for k, c in enumerate(g) if c)
+    g0, *rest = g[shift:]
+    f = [g0**e]
+    if len(rest) == 1:    # g_0 + a x, as in a binomial: m g_0 F_m = (e + 1 - m) a F_(m - 1)
+        [a] = rest
         for m in range(1, e + 1):
-            value, remainder = divmod((e + 1 - m) * a * f[-1], m * c)
+            value, remainder = divmod((e + 1 - m) * a * f[-1], m * g0)
             if remainder:
-                raise _inexact(polys, counts, m)
+                raise _inexact(g, e, m)
             f.append(value)
-        return [0] * shift + f
-    p0, runs = _runs(gs, es)
-    pad = max([run[1] for run in runs], default=0)
-    f = [0] * pad + [math.prod([g[0] ** e for g, e in zip(gs, es)])]   # F_j at f[pad + j], so F_(m - k) at f[-k]
-    singles = [(lo, alpha, p) for lo, hi, p, alpha, _ in runs if lo == hi]
-    spans = [[lo, hi, p, alpha, beta, 0, 0] for lo, hi, p, alpha, beta in runs if lo < hi]
-    for m in range(1, sum([e * (len(g) - 1) for g, e in zip(gs, es)]) + 1):
+        return [0] * (shift * e) + f
+    runs = _runs(enumerate(rest, 1))
+    pad = max([hi for _, hi, _ in runs], default=0)
+    f = [0] * pad + f     # F_j at f[pad + j], so F_(m - k) at f[-k]
+    singles = [(lo, (e + 1) * lo * c, c) for lo, hi, c in runs if lo == hi]
+    spans = [[lo, hi, e * c, (e + 1) * c, 0, 0] for lo, hi, c in runs if lo < hi]
+    for m in range(1, e * len(rest) + 1):
         total = 0
-        for k, alpha, p in singles:
-            total += (alpha - m * p) * f[-k]
+        for k, alpha, c in singles:
+            total += (alpha - m * c) * f[-k]
         for span in spans:
-            lo, hi, p, alpha, beta, w0, w1 = span
+            lo, hi, ec, beta, w0, w1 = span
             enter, leave = f[-lo], f[-hi - 1]
-            span[5] = w0 = w0 + enter - leave
-            span[6] = w1 = w1 + (m - lo) * enter - (m - hi - 1) * leave
-            total += (alpha + (beta - p) * m) * w0 - beta * w1
-        value, remainder = divmod(total, m * p0)
+            span[4] = w0 = w0 + enter - leave
+            span[5] = w1 = w1 + (m - lo) * enter - (m - hi - 1) * leave
+            total += ec * m * w0 - beta * w1
+        value, remainder = divmod(total, m * g0)
         if remainder:
-            raise _inexact(polys, counts, m)
+            raise _inexact(g, e, m)
         f.append(value)
-    return [0] * shift + f[pad:]
+    return [0] * (shift * e) + f[pad:]
 
 
-def _inexact(polys: Sequence[Sequence[int]], counts: Sequence[int], m: int) -> AssertionFailed:
-    return AssertionFailed("a power recurrence left a remainder",
-                           witness={"polys": [list(g) for g in polys], "counts": list(counts), "m": m})
+def _inexact(g: Sequence[int], e: int, m: int) -> AssertionFailed:
+    return AssertionFailed("a power recurrence left a remainder", witness={"g": list(g), "e": e, "m": m})
 
 
 def _hit(dists: Sequence[Dist], x: PointLike) -> Fraction:

@@ -4,9 +4,9 @@ Everything here is exact.  Closed forms (binomial pmf, quasi-uniform
 variance) are deliberately written without convolutions so the tests can
 cross-check them against the convolution route.  In the other direction,
 `signed_binomial_diff` convolves two binomials, and it is the oracle that
-both the row ladder of `search.optimal_k_scan` and the alternating zero
-masses read with `dist._hit` (one atom of a sum, the sum never formed) are
-tested against.
+the row ladder of `search.optimal_k_scan`, the alternating zero masses read
+with `dist._hit` (one atom of a sum, the sum never formed) and the power of
+the pair law in `alternating_bernoulli` are tested against.
 """
 
 from __future__ import annotations
@@ -96,23 +96,28 @@ def binomial(n: int, p: RationalLike) -> Dist:
     a, b = q.numerator, q.denominator
     _require_summands(n, 2, b)
     _require_plan(f"a binomial law of {n} summands", [_updates(n + 1, n * (b - 1).bit_length(), b)])
-    return _canonical(1, {(k,): m for k, m in enumerate(_recurrence([[b - a, a]], [n]))}, b**n)
+    return _canonical(1, {(k,): m for k, m in enumerate(_recurrence([b - a, a], n))}, b**n)
 
 
 def alternating_bernoulli(n: int, p: RationalLike) -> Dist:
     """Law of an alternating-signed sum of n iid Bernoulli(p) variables.
 
     ceil(n/2) summands enter with sign +1 and floor(n/2) with sign -1, so
-    the result is the difference of two independent binomials.  With p = a/b,
-    c = b - a, u = ceil(n/2) and v = floor(n/2), its numerators shifted by v are
-    the coefficients of (c + a x)^u (a + c x)^v, formed by the recurrence kernel
-    once the two binomials and their product pass the gates of `convolve_all`.
+    the result is the difference of two independent binomials: the sum of
+    v = floor(n/2) iid pairs X - X', plus one more X when n is odd.  With
+    p = a/b and c = b - a, the pair law's numerators, shifted by 1, are the
+    coefficients of (c + a x)(a + c x); so the law's numerators, shifted by v,
+    are those of its v-th power, which the recurrence kernel forms, times
+    c + a x at odd n.  The two binomials and their product pass the gates of
+    `convolve_all` first.
     """
     halves = _alternating_halves(n, p)
     _require_sum(halves)
     q = as_fraction(p)
     a, c, v = q.numerator, q.denominator - q.numerator, n // 2
-    nums = _recurrence([[c, a], [a, c]], [n - v, v])
+    nums = _recurrence([a * c, a * a + c * c, a * c], v)
+    if n % 2:
+        nums = [c * x + a * y for x, y in zip(nums + [0], [0] + nums)]
     return _canonical(1, {(k - v,): m for k, m in enumerate(nums)}, q.denominator**n)
 
 

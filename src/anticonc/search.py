@@ -94,7 +94,7 @@ def _split_rows(n: int, q: Fraction) -> tuple[KRow, ...]:
     """The rows of `optimal_k_scan` for n and a p that its callers validated."""
     a, b = q.numerator, q.denominator
     c, den = b - a, b**n
-    row = _recurrence([[c, a]], [n])
+    row = _recurrence([c, a], n)
     rows = []
     for k in range(n // 2 + 1):
         if k:

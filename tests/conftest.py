@@ -70,10 +70,9 @@ def brute_weighted_law(weights, components) -> dict[tuple[int, ...], Fraction]:
     return law
 
 
-def recurrence_steps(polys, counts, out) -> int:
+def recurrence_steps(g, e, out) -> int:
     """Steps of one pass of the recurrence kernel, priced by its rule (`errors._updates`) from what it formed: one
-    update per coefficient and run of the recurrence, on the bits of the largest coefficient, dividing by factors of
-    the laws' denominator (the sum of a law's numerators)."""
-    gs = [list(itertools.dropwhile(lambda c: c == 0, g)) for g, e in zip(polys, counts) if e]
-    runs = len(dist._runs(gs, [e for e in counts if e])[1])
-    return errors._updates(len(out) * runs, max(out).bit_length(), max([sum(g) for g in polys], default=1))
+    update per coefficient and run of g's terms past its first nonzero one (`dist._runs`), on the bits of the largest
+    coefficient, dividing by factors of the law's denominator (the sum of g)."""
+    _, *rest = itertools.dropwhile(lambda c: c == 0, g)
+    return errors._updates(len(out) * len(dist._runs(enumerate(rest, 1))), max(out).bit_length(), sum(g))

@@ -260,10 +260,10 @@ def test_power_plan_never_undercounts(case, pair, n):
         steps.append(40 + len(a.support) * len(b.support) * (2**20 + bits) // 2**20)
         return out
 
-    def recurred(polys, counts):
-        out = recurrence(polys, counts)
+    def recurred(g, e):
+        out = recurrence(g, e)
         sizes.append(sum(map(bool, out)))
-        steps.append(recurrence_steps(polys, counts, out))
+        steps.append(recurrence_steps(g, e, out))
         return out
 
     with pytest.MonkeyPatch.context() as patch:
@@ -308,31 +308,31 @@ def test_recurrence_matches_the_dict_kernel(law, n):
         assert both() == by_dict
 
 
-def polynomial_product(polys, counts):
+def polynomial_power(g, e):
     out = [1]
-    for g, e in zip(polys, counts):
-        for _ in range(e):
-            out = [sum(out[i] * g[k - i] for i in range(len(out)) if 0 <= k - i < len(g))
-                   for k in range(len(out) + len(g) - 1)]
+    for _ in range(e):
+        out = [sum(out[i] * g[k - i] for i in range(len(out)) if 0 <= k - i < len(g))
+               for k in range(len(out) + len(g) - 1)]
     return out
 
 
-@given(st.lists(st.tuples(st.lists(st.integers(0, 5), min_size=1, max_size=5).filter(any), st.integers(0, 6)),
-                min_size=1, max_size=3))
-@example([([0, 0, 3, 3, 3, 1], 5), ([2, 0, 1], 3)])
-def test_recurrence_is_the_product_of_powers(factors):
-    # leading zeros are a shift, a zero count drops its factor, flat stretches are runs
-    polys, counts = zip(*factors)
-    assert dist._recurrence(polys, counts) == polynomial_product(polys, counts)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=7).filter(any), st.integers(0, 8))
+@example([0, 0, 3, 3, 3, 1], 5)
+@example([2, 0, 1, 1, 1, 0, 4], 6)
+@example([0, 4], 3)
+@example([0, 0, 2, 5, 1], 0)
+def test_recurrence_is_the_power(g, e):
+    # leading zeros are a shift, e = 0 is the constant 1, flat stretches are runs, gaps are skipped
+    assert dist._recurrence(g, e) == polynomial_power(g, e)
 
 
-def test_a_remainder_is_a_failure(monkeypatch):
+@pytest.mark.parametrize("g", [[1, 1, 1], [2, 1]])      # the general loop and the two-term loop
+def test_a_remainder_is_a_failure(monkeypatch, g):
     # the divisions are exact for a true recurrence; a wrong one is caught, not rounded
-    runs = dist._runs
-    monkeypatch.setattr(dist, "_runs", lambda polys, counts: (runs(polys, counts)[0] * 2, runs(polys, counts)[1]))
+    monkeypatch.setattr(dist, "divmod", lambda a, b: (a // b, 1), raising=False)
     with pytest.raises(AssertionFailed, match="remainder") as failure:
-        dist._recurrence([[1, 1, 1]], [3])
-    assert failure.value.witness == {"polys": [[1, 1, 1]], "counts": [3], "m": 1}
+        dist._recurrence(g, 3)
+    assert failure.value.witness == {"g": g, "e": 3, "m": 1}
 
 
 README_LAW = Dist.from_entries([(-2, F(1, 6)), (0, F(1, 4)), (1, F(1, 3)), (3, F(1, 4))])
@@ -351,7 +351,7 @@ def test_the_predicate_sends_dense_powers_to_the_recurrence(monkeypatch, law, n,
     calls = []
     convolve, recur = Dist.convolve, dist._recurrence
     monkeypatch.setattr(Dist, "convolve", lambda a, b: calls.append("product") or convolve(a, b))
-    monkeypatch.setattr(dist, "_recurrence", lambda polys, counts: calls.append("pass") or recur(polys, counts))
+    monkeypatch.setattr(dist, "_recurrence", lambda g, e: calls.append("pass") or recur(g, e))
     for power in (lambda: self_convolve(law, n), lambda: convolve_all([law] * n)):
         calls.clear()
         power()

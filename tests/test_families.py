@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 import hypothesis.strategies as st
-from hypothesis import given
+from hypothesis import example, given
 
 from anticonc import (
     alternating_bernoulli,
@@ -14,6 +14,7 @@ from anticonc import (
     quasi_uniform,
     quasi_uniform_variance,
     self_convolve,
+    signed_binomial_diff,
     weighted_sum,
 )
 from anticonc.dist import _recurrence
@@ -90,7 +91,7 @@ class TestBinomial:
     @given(st.integers(0, 60), st.integers(1, 50), st.integers(0, 50))
     def test_numerators_match_the_closed_form(self, n, a, c):
         # the recurrence gives each C(n, k) a^k c^(n - k) of (c + a x)^n exactly, c = 0 (p = 1) and n = 0 included
-        assert _recurrence([[c, a]], [n]) == [math.comb(n, k) * a**k * c ** (n - k) for k in range(n + 1)]
+        assert _recurrence([c, a], n) == [math.comb(n, k) * a**k * c ** (n - k) for k in range(n + 1)]
 
     def test_degenerate_edges(self):
         assert binomial(0, F(1, 3)) == delta(0)
@@ -125,6 +126,14 @@ class TestAlternating:
         for n in (2, 3, 4, 5):
             signs = [(-1) ** i for i in range(n)]
             assert weighted_sum(signs, [bernoulli(p)] * n).dist == alternating_bernoulli(n, p)
+
+    @given(st.integers(1, 60), st.integers(2, 40).flatmap(lambda b: st.integers(1, b // 2).map(lambda a: F(a, b))))
+    @example(1, F(1, 2))
+    @example(2, F(1, 3))
+    @example(59, F(2, 5))
+    def test_power_of_the_pair_law_matches_the_dict_kernel(self, n, p):
+        # the pair polynomial (c + a x)(a + c x) to the floor(n/2), times c + a x at odd n, is B - B' by products
+        assert alternating_bernoulli(n, p) == signed_binomial_diff(n, n // 2, p)
 
     def test_central_binomial_at_half(self):
         for n in range(2, 13, 2):

@@ -97,7 +97,7 @@ class TestBalancingBound:
         calls = []
         convolve, recurrence = Dist.convolve, dist._recurrence
         monkeypatch.setattr(Dist, "convolve", lambda a, b: calls.append("product") or convolve(a, b))
-        monkeypatch.setattr(dist, "_recurrence", lambda polys, counts: calls.append("pass") or recurrence(polys, counts))
+        monkeypatch.setattr(dist, "_recurrence", lambda g, e: calls.append("pass") or recurrence(g, e))
         b = bernoulli(F(1, 3))
         bound = balancing_bound([b] * 4, (0,))
         # one squaring for the half power of the single rhs, priced below a pass of the recurrence; then one pass for

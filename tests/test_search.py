@@ -232,9 +232,9 @@ def counting_kernels(patch, steps):
         steps.append(len(out) * (4096 + max(out).bit_length() * limbs) // 4096)
         return out
 
-    def recurred(polys, counts):
-        out = recurrence(polys, counts)
-        steps.append(recurrence_steps(polys, counts, out))
+    def recurred(g, e):
+        out = recurrence(g, e)
+        steps.append(recurrence_steps(g, e, out))
         return out
 
     patch.setattr(Dist, "convolve", counted)
